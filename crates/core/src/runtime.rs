@@ -1,7 +1,6 @@
 //! The IceClave runtime: TEE lifecycle, access control, and the
 //! protected data path (§4.5, §4.6, Table 2).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -13,6 +12,7 @@ use iceclave_isc::SsdPlatform;
 use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
 use iceclave_sim::Pipeline;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
+use iceclave_types::tee::DEFAULT_ID_BITS;
 use iceclave_types::{
     BatchCompletion, ByteSize, CacheLine, Lpn, PageWrite, Ppn, RecoveryStats, SimTime, TeeId,
     TicketAttribution, WriteBatchCompletion, LINES_PER_PAGE, PAGE_SIZE,
@@ -221,6 +221,50 @@ impl TeeState {
     }
 }
 
+/// TEE states indexed directly by raw id: one slot per id the default
+/// ID bits can name (the id pool hands out `1..16`), so a lookup is a
+/// bounds check and an index, with no hashing on the per-line access
+/// path. An id past the table (a wider `TeeId`) is simply absent.
+/// Slots keep their last state after teardown (status queries answer
+/// for historical ids) until a new TEE recycles the id.
+#[derive(Debug)]
+pub(crate) struct TeeTable {
+    slots: Vec<Option<TeeState>>,
+}
+
+impl TeeTable {
+    fn new() -> Self {
+        TeeTable {
+            slots: (0..1usize << DEFAULT_ID_BITS).map(|_| None).collect(),
+        }
+    }
+
+    pub(crate) fn get(&self, tee: TeeId) -> Option<&TeeState> {
+        self.slots.get(usize::from(tee.raw()))?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, tee: TeeId) -> Option<&mut TeeState> {
+        self.slots.get_mut(usize::from(tee.raw()))?.as_mut()
+    }
+
+    /// The state of a running TEE: [`IceClaveError::UnknownTee`] for an
+    /// id that never held a TEE, [`IceClaveError::NotRunning`] for one
+    /// that was torn down.
+    pub(crate) fn running_mut(&mut self, tee: TeeId) -> Result<&mut TeeState, IceClaveError> {
+        match self.get_mut(tee) {
+            Some(state) if state.status == TeeStatus::Running => Ok(state),
+            Some(_) => Err(IceClaveError::NotRunning(tee)),
+            None => Err(IceClaveError::UnknownTee(tee)),
+        }
+    }
+
+    /// Stores a new TEE's state; `tee` comes from the id pool, so it
+    /// always has a slot.
+    fn insert(&mut self, tee: TeeId, state: TeeState) {
+        self.slots[usize::from(tee.raw())] = Some(state);
+    }
+}
+
 /// The IceClave runtime (Figure 3).
 ///
 /// See the crate docs for an end-to-end example.
@@ -243,7 +287,7 @@ pub struct IceClave {
     pub(crate) page_ivs: crate::slab::IvTable,
     memory_map: MemoryMap,
     pub(crate) config: IceClaveConfig,
-    pub(crate) tees: HashMap<u8, TeeState>,
+    pub(crate) tees: TeeTable,
     free_ids: Vec<TeeId>,
     used_ids: Vec<bool>,
     free_regions: Vec<u64>,
@@ -298,7 +342,7 @@ impl IceClave {
             page_ivs: crate::slab::IvTable::new(),
             memory_map,
             config,
-            tees: HashMap::new(),
+            tees: TeeTable::new(),
             free_ids,
             used_ids: vec![false; 16],
             free_regions,
@@ -474,7 +518,7 @@ impl IceClave {
         self.cipher_lanes = (0..self.config.platform.flash.geometry.channels)
             .map(|i| Pipeline::new(format!("cipher-engine{i}")))
             .collect();
-        self.tees.clear();
+        self.tees = TeeTable::new();
         self.free_ids = Self::build_free_ids();
         self.used_ids = vec![false; 16];
         self.free_regions = Self::build_free_regions(&self.config);
@@ -573,7 +617,7 @@ impl IceClave {
                 .set_page_class(region_page + p, PageClass::Writable);
         }
         self.tees.insert(
-            id.raw(),
+            id,
             TeeState {
                 status: TeeStatus::Running,
                 lpns: lpns.to_vec(),
@@ -923,11 +967,9 @@ impl IceClave {
         bytes: u64,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        self.ensure_running(tee)?;
         // Copy into the metadata region happens in the secure world.
         let lines = ByteSize::from_bytes(bytes).cache_lines();
-        let state = self.tees.get(&tee.raw()).expect("running");
-        let first = CacheLine::new(state.region_page * LINES_PER_PAGE);
+        let first = CacheLine::new(self.tees.running_mut(tee)?.region_page * LINES_PER_PAGE);
         let copy_done = self.platform.dram.access_run(
             first,
             lines.min(LINES_PER_PAGE * 4),
@@ -975,7 +1017,7 @@ impl IceClave {
     /// Lifecycle status of a TEE (live or historical ids return their
     /// last status; unknown ids return `None`).
     pub fn status(&self, tee: TeeId) -> Option<TeeStatus> {
-        self.tees.get(&tee.raw()).map(|s| s.status)
+        self.tees.get(tee).map(|s| s.status)
     }
 
     /// Provisions the user's data-decryption key into a running TEE
@@ -987,16 +1029,14 @@ impl IceClave {
     ///
     /// The TEE must be running.
     pub fn provision_user_key(&mut self, tee: TeeId, key: [u8; 16]) -> Result<(), IceClaveError> {
-        self.ensure_running(tee)?;
-        let state = self.tees.get_mut(&tee.raw()).expect("running");
-        state.user_key = Some(key);
+        self.tees.running_mut(tee)?.user_key = Some(key);
         Ok(())
     }
 
     /// The user key provisioned into a TEE, if any (secure-world
     /// accessor used by the in-TEE decryption path and tests).
     pub fn user_key(&self, tee: TeeId) -> Option<[u8; 16]> {
-        self.tees.get(&tee.raw()).and_then(|s| s.user_key)
+        self.tees.get(tee).and_then(|s| s.user_key)
     }
 
     /// **Attack surface check**: what happens when a normal-world
@@ -1074,22 +1114,16 @@ impl IceClave {
         Ok(())
     }
 
-    pub(crate) fn ensure_running(&self, tee: TeeId) -> Result<(), IceClaveError> {
-        match self.tees.get(&tee.raw()) {
-            Some(state) if state.status == TeeStatus::Running => Ok(()),
-            Some(_) => Err(IceClaveError::NotRunning(tee)),
-            None => Err(IceClaveError::UnknownTee(tee)),
-        }
+    pub(crate) fn ensure_running(&mut self, tee: TeeId) -> Result<(), IceClaveError> {
+        self.tees.running_mut(tee).map(|_| ())
     }
 
     /// Bounds-checks a TEE-relative line offset; violations throw the
-    /// TEE out (§4.5 abort condition 1).
+    /// TEE out (§4.5 abort condition 1). One table lookup per line.
     fn checked_line(&mut self, tee: TeeId, line_offset: u64) -> Result<CacheLine, IceClaveError> {
-        self.ensure_running(tee)?;
-        let state = self.tees.get(&tee.raw()).expect("running");
+        let state = self.tees.running_mut(tee)?;
         let region_lines = state.region_pages * LINES_PER_PAGE;
         if line_offset >= region_lines {
-            let state = self.tees.get_mut(&tee.raw()).expect("running");
             state.status = TeeStatus::Aborted(AbortReason::AccessViolation);
             self.stats.aborted += 1;
             return Err(IceClaveError::RegionViolation { tee, line_offset });
@@ -1105,13 +1139,7 @@ impl IceClave {
         status: TeeStatus,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        let state = self
-            .tees
-            .get_mut(&tee.raw())
-            .ok_or(IceClaveError::UnknownTee(tee))?;
-        if state.status != TeeStatus::Running {
-            return Err(IceClaveError::NotRunning(tee));
-        }
+        let state = self.tees.running_mut(tee)?;
         state.status = status;
         state.user_key = None; // keys never outlive the TEE
         let lpns = state.lpns.clone();

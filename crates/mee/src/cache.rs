@@ -189,6 +189,24 @@ impl MetaCache {
         }
     }
 
+    /// Hits a resident `block` — LRU stamp, dirty bit and hit count
+    /// exactly as [`MetaCache::access`]/[`MetaCache::access_dirty`]
+    /// would — and returns `true`; on a miss changes nothing and returns
+    /// `false`. One set probe where `contains` + `access_dirty` take
+    /// two (the tree-path update dirties only ancestors already
+    /// on-chip).
+    pub fn touch_if_resident(&mut self, block: u64, dirty: bool) -> bool {
+        let set_idx = self.set_of(block);
+        let Some(way) = self.sets[set_idx].iter_mut().find(|w| w.block == block) else {
+            return false;
+        };
+        self.tick += 1;
+        way.stamp = self.tick;
+        way.dirty |= dirty;
+        self.hits += 1;
+        true
+    }
+
     /// True if `block` is resident (no LRU update, no stats update).
     pub fn contains(&self, block: u64) -> bool {
         self.sets[self.set_of(block)]
@@ -366,6 +384,22 @@ mod tests {
         c.access(ids[1]);
         let out = c.access(ids[2]); // evicts ids[0]
         assert_eq!(out.writeback(), Some(ids[0]));
+    }
+
+    #[test]
+    fn touch_if_resident_hits_without_inserting() {
+        let mut c = small();
+        let ids = colliding(&c, 0, 3);
+        assert!(!c.touch_if_resident(ids[0], true), "absent block misses");
+        assert!(!c.contains(ids[0]), "a miss inserts nothing");
+        assert_eq!((c.hits(), c.misses()), (0, 0), "a miss counts nothing");
+        c.access(ids[0]);
+        c.access(ids[1]);
+        assert!(c.touch_if_resident(ids[0], true)); // ids[0] is now MRU, dirty
+        assert_eq!(c.hits(), 1);
+        let out = c.access(ids[2]); // evicts ids[1]
+        assert_eq!(out.evicted, Some((ids[1], false)));
+        assert_eq!(c.flush_dirty(), vec![ids[0]]);
     }
 
     #[test]

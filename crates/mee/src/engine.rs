@@ -731,7 +731,7 @@ impl MeeEngine {
             }
             let _ = self.l1_access(dram, mac_id, true, data.end);
         }
-        let done = self.update_tree_path(dram, page, class, data.end);
+        let done = self.update_tree_path(page, class, data.end);
         self.stats.verifications += 1;
         self.stats.write_overhead += done.saturating_since(data.end);
         done
@@ -1027,21 +1027,17 @@ impl MeeEngine {
     /// place (lazy Bonsai propagation — uncached ancestors are left to
     /// be recomputed when their children are written back). Off the
     /// store's critical path: only traffic effects, no added latency.
-    fn update_tree_path(
-        &mut self,
-        dram: &mut Dram,
-        page: u64,
-        class: PageClass,
-        t: SimTime,
-    ) -> SimTime {
+    fn update_tree_path(&mut self, page: u64, class: PageClass, t: SimTime) -> SimTime {
         let (kind, tree) = self.tree_for(class);
         let leaf = self.leaf_index(page, class);
         for level in 1..=tree.depth() {
             let node_id = meta_id(kind, tree_node_payload(level, tree.ancestor(leaf, level)));
-            if !self.cache.contains(node_id) {
+            // One probe: a resident node is dirtied and counted as a
+            // tree hit (what `l1_access` would do); a miss ends the walk.
+            if !self.cache.touch_if_resident(node_id, true) {
                 break;
             }
-            let _ = self.l1_access(dram, node_id, true, t);
+            self.stats.meta_traffic.tree_hits += 1;
         }
         t
     }

@@ -14,6 +14,15 @@ use iceclave_cipher::Aes128;
 /// Fan-out of the tree: a 64 B node holds eight 8-byte child MACs.
 pub const TREE_ARITY: u64 = 8;
 
+/// `log2(TREE_ARITY)`: the ancestor at level `l` is the leaf index
+/// shifted right by `TREE_ARITY_LOG2 * l` bits.
+pub const TREE_ARITY_LOG2: u32 = TREE_ARITY.trailing_zeros();
+
+const _: () = assert!(
+    TREE_ARITY.is_power_of_two(),
+    "shift-based ancestry needs a power-of-two arity"
+);
+
 /// Shape of a tree: enough levels of arity-8 nodes to cover `leaves`
 /// counter blocks.
 ///
@@ -65,9 +74,12 @@ impl TreeGeometry {
         n.max(1)
     }
 
-    /// Index of the ancestor of `leaf` at `level`.
+    /// Index of the ancestor of `leaf` at `level`: `leaf / 8^level`,
+    /// computed as a shift because it runs at every level of every
+    /// verify walk and tree-path update.
+    #[inline]
     pub fn ancestor(&self, leaf: u64, level: u32) -> u64 {
-        leaf / TREE_ARITY.pow(level)
+        leaf >> (TREE_ARITY_LOG2 * level)
     }
 
     /// Total in-memory size of the tree in bytes (64 B per node above
@@ -285,6 +297,39 @@ mod tests {
         let major = TreeGeometry::for_leaves((1 << 20) / 8);
         let mib = major.memory_bytes() as f64 / (1024.0 * 1024.0);
         assert!((0.5..2.0).contains(&mib), "major tree {mib} MiB");
+    }
+
+    /// The shift form of `ancestor` equals the division it replaces,
+    /// for every level of several geometries, at both ends of the leaf
+    /// range and at seeded random leaves.
+    #[test]
+    fn ancestor_shift_matches_division() {
+        let mut rng = iceclave_sim::SimRng::new(0xA9C3_5707);
+        for leaves in [
+            1u64,
+            7,
+            8,
+            9,
+            100,
+            4096,
+            4097,
+            1 << 20,
+            (1 << 20) / 8,
+            1 << 63,
+        ] {
+            let g = TreeGeometry::for_leaves(leaves);
+            let mut probes = vec![0, g.leaves() - 1];
+            probes.extend((0..64).map(|_| rng.gen_u64() % g.leaves()));
+            for leaf in probes {
+                for level in 0..=g.depth() {
+                    assert_eq!(
+                        g.ancestor(leaf, level),
+                        leaf / TREE_ARITY.pow(level),
+                        "leaves {leaves} leaf {leaf} level {level}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -138,6 +138,53 @@ proptest! {
         }
     }
 
+    /// `touch_if_resident` is the single-probe form of the tree-path
+    /// update's `contains` + `access`/`access_dirty`: over any mix of
+    /// reads, dirtying accesses, invalidations and tree-path touches,
+    /// both caches report the same hits, misses, writebacks and
+    /// eviction victims, evict the same blocks under later pressure and
+    /// flush the same dirty set.
+    #[test]
+    fn touch_if_resident_matches_contains_then_access(
+        ops in prop::collection::vec((0u8..4, 0u64..96, any::<bool>()), 1..400),
+    ) {
+        // 8 sets x 4 ways: 96 block ids keep every set under pressure.
+        let mut probed = MetaCache::new(ByteSize::from_bytes(32 * 64), 4);
+        let mut single = probed.clone();
+        for &(selector, block, dirty) in &ops {
+            match selector {
+                0 => prop_assert_eq!(probed.access(block), single.access(block)),
+                1 => prop_assert_eq!(probed.access_dirty(block), single.access_dirty(block)),
+                2 => prop_assert_eq!(probed.invalidate(block), single.invalidate(block)),
+                _ => {
+                    let resident = probed.contains(block);
+                    if resident {
+                        let out = if dirty {
+                            probed.access_dirty(block)
+                        } else {
+                            probed.access(block)
+                        };
+                        prop_assert!(out.hit && out.evicted.is_none());
+                    }
+                    prop_assert_eq!(single.touch_if_resident(block, dirty), resident);
+                }
+            }
+            prop_assert_eq!(
+                (probed.hits(), probed.misses(), probed.writebacks()),
+                (single.hits(), single.misses(), single.writebacks())
+            );
+        }
+        // Fresh blocks force evictions in every set: the victims expose
+        // the LRU stamps and dirty bits the two paths left behind.
+        for block in 1000..1064u64 {
+            prop_assert_eq!(probed.access(block), single.access(block));
+        }
+        let (mut a, mut b) = (probed.flush_dirty(), single.flush_dirty());
+        a.sort_unstable();
+        b.sort_unstable();
+        prop_assert_eq!(a, b);
+    }
+
     /// The L2 store is a pure performance layer: for ANY access
     /// sequence, the engine with an L2 and the engine without one agree
     /// on every functional observable — counter values (the input to

@@ -6,11 +6,12 @@ use iceclave_repro::iceclave_cipher::{CipherEngine, Trivium};
 use iceclave_repro::iceclave_core::{
     AbortReason, IceClave, IceClaveConfig, IceClaveError, TeeStatus,
 };
+use iceclave_repro::iceclave_cpu::{OpClass, OpCounts};
 use iceclave_repro::iceclave_ftl::FtlError;
 use iceclave_repro::iceclave_isc::{IscConfig, IscRuntime};
 use iceclave_repro::iceclave_mee::{SecureMemory, VerifyError};
 use iceclave_repro::iceclave_trustzone::{AccessType, Region, World};
-use iceclave_repro::iceclave_types::{CacheLine, Hertz, Lpn, SimTime};
+use iceclave_repro::iceclave_types::{CacheLine, Hertz, Lpn, SimTime, TeeId};
 
 /// §2.3 attack 1: privilege escalation to reach other users' flash
 /// data.
@@ -181,6 +182,83 @@ fn out_of_region_access_aborts_the_tee() {
         ice.get_result(tee, 64, t),
         Err(IceClaveError::NotRunning(_))
     ));
+}
+
+/// The line-access path on ids that never named a TEE — the reserved
+/// unowned id, a never-allocated id, the highest id the default ID bits
+/// allow and the highest id any width allows — answers `UnknownTee`
+/// without panicking and without disturbing the live TEE.
+#[test]
+fn never_created_tee_ids_are_unknown_on_the_line_path() {
+    let mut ice = IceClave::new(IceClaveConfig::tiny());
+    let t = ice.populate(Lpn::new(0), 1, SimTime::ZERO).unwrap();
+    let (live, t) = ice.offload_code(1024, &[Lpn::new(0)], t).unwrap();
+    let mut ops = OpCounts::new();
+    ops.add(OpClass::Filter, 100);
+    // `TeeId::new` applies the default 4 ID bits.
+    let highest_default = TeeId::new(15).unwrap();
+    assert!(TeeId::new(16).is_err());
+    let highest_any = TeeId::with_bits(u16::from(u8::MAX), 8).unwrap();
+    for ghost in [
+        TeeId::UNOWNED,
+        TeeId::new(9).unwrap(),
+        highest_default,
+        highest_any,
+    ] {
+        assert_ne!(ghost, live);
+        for offset in [0, u64::MAX] {
+            assert!(matches!(
+                ice.mem_read(ghost, offset, t),
+                Err(IceClaveError::UnknownTee(id)) if id == ghost
+            ));
+            assert!(matches!(
+                ice.mem_write(ghost, offset, t),
+                Err(IceClaveError::UnknownTee(id)) if id == ghost
+            ));
+        }
+        assert!(matches!(
+            ice.compute(ghost, &ops, t),
+            Err(IceClaveError::UnknownTee(id)) if id == ghost
+        ));
+        assert_eq!(ice.status(ghost), None);
+    }
+    assert_eq!(ice.status(live), Some(TeeStatus::Running));
+    assert!(ice.mem_read(live, 0, t).is_ok());
+}
+
+/// A recycled id carries none of its previous TEE's state: once the old
+/// TEE is terminated its handle is dead, and the new TEE that gets the
+/// same id runs, holds no key, accepts every line of its own region
+/// and fails the first line past it as a `RegionViolation` of its own.
+#[test]
+fn recycled_tee_id_sees_only_its_own_region() {
+    let mut ice = IceClave::new(IceClaveConfig::tiny());
+    let t = ice.populate(Lpn::new(0), 2, SimTime::ZERO).unwrap();
+    let region_lines = ice.config().tee_region.as_bytes() / 64;
+    let (old, t) = ice.offload_code(1024, &[Lpn::new(0)], t).unwrap();
+    ice.provision_user_key(old, [7; 16]).unwrap();
+    let t = ice.mem_write(old, region_lines - 1, t).unwrap();
+    let t = ice.terminate_tee(old, t).unwrap();
+    assert!(matches!(
+        ice.mem_read(old, 0, t),
+        Err(IceClaveError::NotRunning(id)) if id == old
+    ));
+
+    let (new, t) = ice.offload_code(1024, &[Lpn::new(1)], t).unwrap();
+    assert_eq!(new, old, "the LIFO id pool recycles the terminated id");
+    assert_eq!(ice.status(new), Some(TeeStatus::Running));
+    assert_eq!(ice.user_key(new), None);
+    let t = ice.mem_read(new, 0, t).unwrap();
+    let t = ice.mem_write(new, region_lines - 1, t).unwrap();
+    assert!(matches!(
+        ice.mem_read(new, region_lines, t),
+        Err(IceClaveError::RegionViolation { tee, line_offset })
+            if tee == new && line_offset == region_lines
+    ));
+    assert_eq!(
+        ice.status(new),
+        Some(TeeStatus::Aborted(AbortReason::AccessViolation))
+    );
 }
 
 /// Baseline contrast: the ISC runtime has no memory isolation at all —
