@@ -189,6 +189,7 @@ fn mix_columns(state: &mut [u8; 16]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -76,6 +76,7 @@ impl CipherAreaModel {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used)]
 
 pub mod aes;
 pub mod area;

@@ -214,6 +214,7 @@ impl TriviumRef {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

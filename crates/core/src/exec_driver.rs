@@ -107,11 +107,10 @@ struct PageState {
     /// re-advance the ticket's FIFO chain).
     attempts: u32,
     /// Read path: the ticket's next page on the same channel. Within a
-    /// ticket each channel serves its pages FIFO in request order (the
-    /// per-channel queue discipline of `Ftl::read_batch`); the chain
-    /// schedules each page's flash stage only after its predecessor
-    /// issued, so the blocking wrapper reproduces `read_batch` exactly
-    /// while other tickets still interleave in time order.
+    /// ticket each channel serves its pages FIFO in request order; the
+    /// chain schedules each page's flash stage only after its
+    /// predecessor issued, while other tickets still interleave in
+    /// time order.
     next_same_channel: Option<u32>,
 }
 
@@ -996,10 +995,9 @@ impl IceClave {
         let channels = geometry.channels as usize;
         match self.config.fairness.policy {
             SchedPolicy::Fifo => {
-                // Per-channel FIFO chains in request order (the queue
-                // discipline of `Ftl::read_batch`): only each channel's
-                // head is scheduled now; successors issue as their
-                // predecessors do.
+                // Per-channel FIFO chains in request order: only each
+                // channel's head is scheduled now; successors issue as
+                // their predecessors do.
                 let mut head: Vec<Option<u32>> = vec![None; channels];
                 let mut prev_in_channel: Vec<Option<u32>> = vec![None; channels];
                 for index in 0..pages.len() {
@@ -1019,8 +1017,8 @@ impl IceClave {
                 // Every page enters its channel's per-tenant WFQ lane
                 // under its *chain-effective* ready time — a page may
                 // not overtake its own ticket's earlier pages on the
-                // same channel, the `Ftl::read_batch` queue discipline
-                // the FIFO chains encode. The arbiter then grants one
+                // same channel (per-channel FIFO in request order, as
+                // the FIFO chains encode). The arbiter then grants one
                 // page per channel at a time in virtual-time order, so
                 // a lone tenant replays the FIFO schedule exactly
                 // while contending tenants split each channel by

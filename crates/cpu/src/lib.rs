@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -325,6 +326,7 @@ impl SgxModel {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

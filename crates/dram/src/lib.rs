@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used)]
 
 use iceclave_sim::{Resource, ServiceSpan};
 use iceclave_types::{ByteSize, CacheLine, Hertz, SimDuration, SimTime, CACHE_LINE_SIZE};
@@ -586,6 +587,7 @@ impl Dram {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -144,7 +144,6 @@ pub fn table5(cfg: &WorkloadConfig) -> FigureReport {
     table.row(&["Context switch", "3.8 us", "3.8 us"]);
 
     // Memory encryption/verification: measured from the IceClave runs.
-    let mut enc_ns = Vec::new();
     let mut miss_rates = Vec::new();
     let mut counter_rates = Vec::new();
     let mut mac_rates = Vec::new();
@@ -156,11 +155,9 @@ pub fn table5(cfg: &WorkloadConfig) -> FigureReport {
     ] {
         let r = run(Mode::IceClave, kind, cfg, &Overrides::none());
         miss_rates.push(r.cmt_miss_rate);
-        enc_ns.push(r.sec_overhead.as_nanos_f64());
         counter_rates.push(r.counter_hit_rate);
         mac_rates.push(r.mac_hit_rate);
         tree_rates.push(r.tree_hit_rate);
-        let _ = &r;
     }
     // Per-operation means come from a dedicated micro-run.
     let micro = run(

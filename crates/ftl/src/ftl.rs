@@ -12,13 +12,11 @@ use iceclave_flash::{
 use iceclave_sim::ServiceSpan;
 use iceclave_trustzone::{World, WorldMonitor};
 use iceclave_types::{
-    BatchRequest, ByteSize, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId,
-    WriteBatchRequest,
+    ByteSize, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId, WriteBatchRequest,
 };
 
 use crate::cmt::CachedMappingTable;
 use crate::mapping::MappingTable;
-use crate::scheduler::ChannelScheduler;
 
 /// Garbage-collection victim-selection policy.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -98,21 +96,6 @@ pub struct Translation {
     pub ready_at: SimTime,
     /// Whether the cached mapping table had the entry.
     pub cmt_hit: bool,
-}
-
-/// One page of a completed batch read: where it was, whether its
-/// translation hit the CMT, and when its data reached the controller.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct BatchPageRead {
-    /// The logical page.
-    pub lpn: Lpn,
-    /// The physical page it translated to.
-    pub ppn: Ppn,
-    /// Whether the cached mapping table had the entry.
-    pub cmt_hit: bool,
-    /// The flash service span; `flash.end` is when the page data has
-    /// crossed the channel bus into the controller.
-    pub flash: ServiceSpan,
 }
 
 /// One page of a completed batch write: where it landed and when its
@@ -828,9 +811,9 @@ impl Ftl {
     }
 
     /// Translates (and permission-checks) a whole batch of logical
-    /// pages up front — phase 1 of [`Ftl::read_batch`], exposed so the
-    /// event-driven executor can run the atomic access check at
-    /// submission and schedule the flash stage per page.
+    /// pages up front, so the event-driven executor can run the atomic
+    /// access check at submission and schedule the flash stage per
+    /// page.
     ///
     /// A batch is atomic with respect to access control: if any page is
     /// denied or unmapped, the error names the offending page and *no*
@@ -859,10 +842,9 @@ impl Ftl {
         Ok(translations)
     }
 
-    /// Accounts `n` logical reads served — the accounting hook of the
-    /// batch read paths: [`Ftl::read_batch`] calls it once its flash
-    /// phase is issued, the event-driven executor at submission (its
-    /// flash stages run later, page by page).
+    /// Accounts `n` logical reads served. The event-driven executor
+    /// calls it at submission, after [`Ftl::translate_batch`]
+    /// succeeds; the flash stages run later, page by page.
     pub fn record_logical_reads(&mut self, n: u64) {
         self.stats.reads += n;
     }
@@ -898,64 +880,6 @@ impl Ftl {
             .read_page(translation.ppn, translation.ready_at)?;
         self.stats.reads += 1;
         Ok(span.end)
-    }
-
-    /// Reads a [`BatchRequest`] of logical pages as one
-    /// channel-parallel request.
-    ///
-    /// All pages are translated (and permission-checked) up front — a
-    /// batch is atomic with respect to access control: if any page is
-    /// denied or unmapped, *no* flash traffic is issued and the error
-    /// names the offending page. The translated pages are then bucketed
-    /// into per-channel queues and issued round-robin across channels
-    /// ([`ChannelScheduler`]), so the per-channel bus timelines fill
-    /// concurrently instead of serially.
-    ///
-    /// Returns one [`BatchPageRead`] per request, in request order.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::AccessDenied`], [`FtlError::Unmapped`], or a flash
-    /// error if a mapping is stale (an internal invariant violation).
-    pub fn read_batch(
-        &mut self,
-        requestor: Requestor,
-        batch: &BatchRequest,
-        monitor: &mut WorldMonitor,
-        now: SimTime,
-    ) -> Result<Vec<BatchPageRead>, FtlError> {
-        let lpns: Vec<Lpn> = batch.requests.iter().map(|r| r.lpn).collect();
-        let translations = self.translate_batch(requestor, &lpns, monitor, now)?;
-
-        // Phase 2: channel-aware issue. Bucket by the physical page's
-        // channel, then interleave round-robin.
-        let g = self.flash.config().geometry;
-        let mut scheduler = ChannelScheduler::new(g.channels as usize);
-        for (idx, translation) in translations.iter().enumerate() {
-            let channel = g.unpack(translation.ppn).channel as usize;
-            scheduler.enqueue(channel, idx);
-        }
-        let order = scheduler.issue_order();
-        let issue: Vec<(Ppn, SimTime)> = order
-            .iter()
-            .map(|&idx| (translations[idx].ppn, translations[idx].ready_at))
-            .collect();
-        let spans = self.flash.read_pages(&issue)?;
-        self.record_logical_reads(lpns.len() as u64);
-
-        let mut results: Vec<Option<BatchPageRead>> = vec![None; lpns.len()];
-        for (pos, &idx) in order.iter().enumerate() {
-            results[idx] = Some(BatchPageRead {
-                lpn: lpns[idx],
-                ppn: translations[idx].ppn,
-                cmt_hit: translations[idx].cmt_hit,
-                flash: spans[pos],
-            });
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every request was scheduled exactly once"))
-            .collect())
     }
 
     /// Writes logical page `lpn` out-of-place: allocates a fresh page,
@@ -1007,8 +931,7 @@ impl Ftl {
     }
 
     /// Writes a [`WriteBatchRequest`] of logical pages as one
-    /// channel-parallel program request — the write-side mirror of
-    /// [`Ftl::read_batch`].
+    /// channel-parallel program request.
     ///
     /// All pages are ownership-checked up front — a batch is atomic
     /// with respect to access control: if any page belongs to another
@@ -1022,10 +945,9 @@ impl Ftl {
     ///    mid-batch stalls only its own channel's later programs, and
     ///    the steering naturally routes subsequent pages away from the
     ///    stalled channel);
-    /// 2. programs are issued round-robin across the per-channel
-    ///    program queues ([`ChannelScheduler`]), overlapping on the
-    ///    channel-bus and die timelines
-    ///    ([`FlashArray::program_pages`]);
+    /// 2. programs issue one page per channel per sweep, FIFO within a
+    ///    channel, overlapping on the channel-bus and die timelines
+    ///    ([`FlashArray::program_page`]);
     /// 3. mapping updates dirty the CMT with *coalesced* write-back:
     ///    each dirty translation page evicted during the batch is
     ///    persisted once at the end instead of once per page.
@@ -1349,9 +1271,9 @@ impl Ftl {
     /// deprioritized, so the batch only fails when the whole device is
     /// out of space.
     ///
-    /// Programs are issued round-robin through the per-channel program
-    /// queues; allocation uses a shadow frontier so several pages of
-    /// one block stay in NAND program order within the batch.
+    /// Each wave's programs issue one page per channel per sweep, FIFO
+    /// within a channel; allocation uses a shadow frontier so several
+    /// pages of one block stay in NAND program order within the batch.
     ///
     /// The mapping/validity maintenance for each page (driven by its
     /// `targets` entry — data page or translation page) happens at the
@@ -1380,23 +1302,24 @@ impl Ftl {
             .collect();
         let mut results: Vec<Option<(Ppn, ServiceSpan)>> = vec![None; ready.len()];
 
-        // The batch proceeds in waves of (at most) one page per
-        // channel — one round-robin sweep of the program queues. The
-        // shadow frontier drains at the end of every wave, so garbage
-        // collection stays available to any plane that runs low at any
-        // wave boundary (the once-per-plane GC gate is per wave, not
-        // per batch) and the batch reclaims space exactly as
-        // aggressively as a sequential write loop would.
+        // The batch proceeds in waves of (at most) as many pages as
+        // there are channels. The shadow frontier drains at the end of
+        // every wave, so garbage collection stays available to any
+        // plane that runs low at any wave boundary (the once-per-plane
+        // GC gate is per wave, not per batch) and the batch reclaims
+        // space exactly as aggressively as a sequential write loop
+        // would.
         let mut next = 0usize;
         while next < ready.len() {
             let wave_end = (next + channels).min(ready.len());
-            let mut scheduler = ChannelScheduler::new(channels);
+            let mut wave_rank = vec![0u32; channels];
             let mut shadow: HashMap<u64, u32> = HashMap::new();
             let mut gc_checked = vec![false; self.planes.len()];
             let mut plane_pending = vec![0u32; self.planes.len()];
             let mut dry_attempts = vec![0u32; channels];
             let mut placements: Vec<(Ppn, SimTime)> = Vec::with_capacity(wave_end - next);
-            for (idx, &page_ready) in ready.iter().enumerate().take(wave_end).skip(next) {
+            let mut issue_keys: Vec<(u32, usize)> = Vec::with_capacity(wave_end - next);
+            for &page_ready in &ready[next..wave_end] {
                 let (ppn, arrival) = loop {
                     let ch = (0..channels)
                         .filter(|&c| dry_attempts[c] <= planes_per_channel)
@@ -1415,7 +1338,8 @@ impl Ftl {
                             // from it).
                             channel_ready[ch] = channel_ready[ch].max(gc_done);
                             assigned[ch] += 1;
-                            scheduler.enqueue_program(ch, idx - next);
+                            issue_keys.push((wave_rank[ch], ch));
+                            wave_rank[ch] += 1;
                             break (ppn, channel_ready[ch].max(page_ready));
                         }
                         Err(FtlError::CapacityExhausted) => {
@@ -1431,27 +1355,29 @@ impl Ftl {
                 };
                 placements.push((ppn, arrival));
             }
-            // Issue the wave's programs one channel-interleaved item at
-            // a time so a status-FAIL program degrades to a per-page
-            // remap instead of failing the batch. A failure retires the
-            // target block; wave items steered to the same (now
-            // retired) block skip the device entirely — their allocated
-            // page numbers assumed the failed program advanced the
-            // frontier, so programming them would break NAND order.
-            let order = scheduler.issue_order_mixed();
+            // Issue the wave's programs one page per channel per sweep
+            // (ordered by rank within the channel, then channel), one
+            // page at a time so a status-FAIL program degrades to a
+            // per-page remap instead of failing the batch. A failure
+            // retires the target block; wave items steered to the same
+            // (now retired) block skip the device entirely — their
+            // allocated page numbers assumed the failed program advanced
+            // the frontier, so programming them would break NAND order.
+            let mut order: Vec<usize> = (0..placements.len()).collect();
+            order.sort_unstable_by_key(|&i| issue_keys[i]);
             let mut resteer: Vec<usize> = Vec::new();
-            for item in &order {
-                let (ppn, arrival) = placements[item.index];
+            for i in order {
+                let (ppn, arrival) = placements[i];
                 if self.is_grown_bad(ppn) {
-                    resteer.push(item.index);
+                    resteer.push(i);
                     continue;
                 }
                 match self.flash.program_page(ppn, arrival) {
-                    Ok(span) => results[next + item.index] = Some((ppn, span)),
+                    Ok(span) => results[next + i] = Some((ppn, span)),
                     Err(FlashError::ProgramFailed(_)) => {
                         let g = self.flash.config().geometry;
                         self.retire_block(g.unpack(ppn).block_addr(), true);
-                        resteer.push(item.index);
+                        resteer.push(i);
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -2424,26 +2350,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_read_matches_sequential_pages_and_stats() {
-        let (mut ftl, mut m) = setup();
-        let mut t = SimTime::ZERO;
-        for i in 0..8u64 {
-            t = ftl.write(Requestor::Host, Lpn::new(i), &mut m, t).unwrap();
-        }
-        let lpns: Vec<Lpn> = (0..8).map(Lpn::new).collect();
-        let reads = ftl
-            .read_batch(Requestor::Host, &BatchRequest::from_lpns(&lpns), &mut m, t)
-            .unwrap();
-        assert_eq!(reads.len(), 8);
-        for (i, r) in reads.iter().enumerate() {
-            assert_eq!(r.lpn, Lpn::new(i as u64));
-            assert!(r.flash.end > t);
-        }
-        assert_eq!(ftl.stats().reads, 8);
-    }
-
-    #[test]
-    fn batch_read_is_atomic_on_access_denial() {
+    fn translate_batch_is_atomic_on_access_denial() {
         let (mut ftl, mut m) = setup();
         let mut t = SimTime::ZERO;
         for i in 0..4u64 {
@@ -2453,11 +2360,11 @@ mod tests {
             .unwrap();
         let flash_reads_before = ftl.flash().stats().reads;
         // Page 2 is not owned by TEE 1: the whole batch is refused
-        // before any flash traffic.
+        // before any flash traffic, and no page counts as read.
         let err = ftl
-            .read_batch(
+            .translate_batch(
                 Requestor::Tee(tee(1)),
-                &BatchRequest::from_lpns(&[Lpn::new(0), Lpn::new(2), Lpn::new(1)]),
+                &[Lpn::new(0), Lpn::new(2), Lpn::new(1)],
                 &mut m,
                 t,
             )
@@ -2465,46 +2372,96 @@ mod tests {
         assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(2)));
         assert_eq!(ftl.flash().stats().reads, flash_reads_before);
         assert_eq!(ftl.stats().reads, 0);
-    }
-
-    #[test]
-    fn batch_read_overlaps_channels() {
-        // A batch striped across the tiny device's channels must beat
-        // the serial sum of its pages.
-        let (mut ftl, mut m) = setup();
-        let mut t = SimTime::ZERO;
-        let pages = 8u64;
-        for i in 0..pages {
-            t = ftl.write(Requestor::Host, Lpn::new(i), &mut m, t).unwrap();
-        }
-        let lpns: Vec<Lpn> = (0..pages).map(Lpn::new).collect();
-        let batch_end = ftl
-            .read_batch(Requestor::Host, &BatchRequest::from_lpns(&lpns), &mut m, t)
+        // The owned pages translate in request order; translation
+        // alone still accounts no read.
+        let ppns: Vec<Ppn> = ftl
+            .translate_batch(
+                Requestor::Tee(tee(1)),
+                &[Lpn::new(1), Lpn::new(0)],
+                &mut m,
+                t,
+            )
             .unwrap()
             .iter()
-            .map(|r| r.flash.end)
-            .max()
-            .unwrap();
-
-        let (mut serial, mut m2) = setup();
-        let mut t2 = SimTime::ZERO;
-        for i in 0..pages {
-            t2 = serial
-                .write(Requestor::Host, Lpn::new(i), &mut m2, t2)
-                .unwrap();
-        }
-        let mut chained = t2;
-        for &lpn in &lpns {
-            chained = serial.read(Requestor::Host, lpn, &mut m2, chained).unwrap();
-        }
-        assert!(
-            batch_end.saturating_since(t) < chained.saturating_since(t2),
-            "batch {:?} must beat serial {:?}",
-            batch_end.saturating_since(t),
-            chained.saturating_since(t2)
-        );
+            .map(|tr| tr.ppn)
+            .collect();
+        let expected: Vec<Ppn> = [1, 0]
+            .map(|i| ftl.current_ppn(Lpn::new(i)).unwrap())
+            .to_vec();
+        assert_eq!(ppns, expected);
+        assert_eq!(ftl.stats().reads, 0);
     }
 
+    /// The in-wave issue order of a write batch: one page per channel
+    /// per sweep, FIFO within a channel. Channels 1-3 enter the batch
+    /// with a bus backlog of 1.5 page transfers, so steering puts the
+    /// wave's first two pages on channel 0 and pages 2 and 3 on
+    /// channels 1 and 2. The wave then issues pages 0, 2, 3 on the
+    /// first sweep and page 1 on the second. A scripted program
+    /// failure at issue ordinal `k` retires a block on the channel of
+    /// the `k`-th issued page, which makes the order observable.
+    #[test]
+    fn write_batch_issues_one_page_per_channel_per_sweep() {
+        let config = FlashConfig {
+            geometry: iceclave_flash::FlashGeometry::tiny().with_channels(4),
+            ..FlashConfig::tiny()
+        };
+        let g = config.geometry;
+        let run = |fail_op: Option<u64>| {
+            let mut ftl = Ftl::new(config, FtlConfig::default());
+            let mut m = WorldMonitor::with_table5_cost();
+            let mut t = SimTime::ZERO;
+            for i in 0..16u64 {
+                t = ftl.write(Requestor::Host, Lpn::new(i), &mut m, t).unwrap();
+            }
+            let t_read = t + SimDuration::from_millis(1);
+            for channel in 1..4 {
+                let ppn = (0..16u64)
+                    .filter_map(|i| ftl.current_ppn(Lpn::new(i)))
+                    .find(|&ppn| g.unpack(ppn).channel == channel)
+                    .unwrap();
+                ftl.flash.read_page(ppn, t_read).unwrap();
+            }
+            let transfer = config.page_transfer_time();
+            let start = ftl.flash().channel_next_free(1) - transfer - transfer / 2;
+            if let Some(op) = fail_op {
+                ftl.install_fault_plan(FaultPlan {
+                    program_fail_ops: vec![op],
+                    ..FaultPlan::none()
+                });
+            }
+            let lpns: Vec<Lpn> = (16..20).map(Lpn::new).collect();
+            let now = start - m.switch_cost();
+            let out = ftl
+                .write_batch(
+                    Requestor::Host,
+                    &WriteBatchRequest::from_lpns(&lpns),
+                    &mut m,
+                    now,
+                )
+                .unwrap();
+            (ftl, out)
+        };
+
+        let (_, out) = run(None);
+        let channels: Vec<u32> = out.pages.iter().map(|p| g.unpack(p.ppn).channel).collect();
+        assert_eq!(channels, vec![0, 0, 1, 2], "steering placement");
+        assert!(
+            out.pages[0].flash.start < out.pages[1].flash.start,
+            "FIFO within channel 0"
+        );
+
+        // Issue order 0, 2, 3, 1 lands on channels 0, 1, 2, 0.
+        for (ordinal, channel) in [0u32, 1, 2, 0].into_iter().enumerate() {
+            let (ftl, _) = run(Some(ordinal as u64));
+            let retired: Vec<u32> = ftl
+                .grown_bad_blocks()
+                .into_iter()
+                .map(|b| g.block_from_index(b).channel)
+                .collect();
+            assert_eq!(retired, vec![channel], "failure at issue ordinal {ordinal}");
+        }
+    }
     #[test]
     fn write_batch_matches_sequential_post_state() {
         let lpns: Vec<Lpn> = (0..12).map(Lpn::new).collect();

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used)]
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -296,6 +297,7 @@ impl IscRuntime {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use iceclave_cpu::OpClass;

@@ -134,15 +134,20 @@ impl MetaCache {
     }
 
     /// Looks up `block` for reading, inserting it clean on a miss.
+    #[inline]
     pub fn access(&mut self, block: u64) -> CacheOutcome {
         self.touch(block, false)
     }
 
     /// Looks up `block` and marks it dirty (a metadata update).
+    #[inline]
     pub fn access_dirty(&mut self, block: u64) -> CacheOutcome {
         self.touch(block, true)
     }
 
+    // `#[inline]` on the probe path keeps it inlined into the MEE's
+    // per-line callers whichever codegen unit each lands in.
+    #[inline]
     fn touch(&mut self, block: u64, dirty: bool) -> CacheOutcome {
         let stamp = self.next_stamp();
         let set_idx = self.set_of(block);

@@ -276,19 +276,7 @@ impl MeeStats {
     }
 }
 
-/// One page of a batched DRAM fill (flash-to-DRAM staging).
-#[derive(Copy, Clone, Debug)]
-pub struct PageFill {
-    /// Destination DRAM page.
-    pub page: u64,
-    /// Protection class the page is filled as.
-    pub class: PageClass,
-    /// When the deciphered data is available to the fill engine.
-    pub ready: SimTime,
-}
-
-/// One page of a batched DRAM drain (DRAM-to-flash persistence) — the
-/// write-side mirror of [`PageFill`].
+/// One page of a batched DRAM drain (DRAM-to-flash persistence).
 #[derive(Copy, Clone, Debug)]
 pub struct PageSeal {
     /// Source DRAM page.
@@ -540,8 +528,7 @@ impl MeeEngine {
         let major = self.split_counters.get(page).map_or(0, |b| b.major());
         *self.split_counters.entry(page) = SplitCounterBlock::with_major(major + 1);
         let id = self.counter_id(page, self.effective_class(page));
-        let was_cached = self.cache.invalidate(id);
-        let _ = was_cached;
+        let _ = self.cache.invalidate(id);
         // The home write below supersedes any sealed L2 copy.
         if let Some(l2) = self.l2.as_mut() {
             let _ = l2.invalidate(id);
@@ -550,26 +537,6 @@ impl MeeEngine {
         self.stats.extra_enc_writes += 1;
         self.stats.encryptions += LINES_PER_PAGE;
         end + self.config.aes_latency
-    }
-
-    /// Fills a batch of DRAM pages, each admitted when its upstream
-    /// (deciphered flash data) is ready.
-    ///
-    /// Fills are issued in ascending ready order, so counter
-    /// initialization and MAC generation of early pages overlap with
-    /// the flash transfers of later ones — the DRAM channel timelines
-    /// provide the only serialization, exactly as the bulk-fill engine
-    /// of the paper overlaps verification with data movement. Returns
-    /// per-page completion times **in input order**.
-    pub fn fill_pages(&mut self, dram: &mut Dram, fills: &[PageFill]) -> Vec<SimTime> {
-        let mut order: Vec<usize> = (0..fills.len()).collect();
-        order.sort_by_key(|&i| (fills[i].ready, i));
-        let mut done = vec![SimTime::ZERO; fills.len()];
-        for i in order {
-            let fill = &fills[i];
-            done[i] = self.fill_page(dram, fill.page, fill.class, fill.ready);
-        }
-        done
     }
 
     /// Seals one whole DRAM page for flash persistence (DRAM-to-flash
@@ -610,8 +577,7 @@ impl MeeEngine {
         }
     }
 
-    /// Seals a batch of DRAM pages, each admitted at its ready time —
-    /// the write-side analogue of [`MeeEngine::fill_pages`].
+    /// Seals a batch of DRAM pages, each admitted at its ready time.
     ///
     /// Seals are issued in ascending ready order, so counter increments
     /// and MAC generation of early pages overlap with the channel

@@ -143,6 +143,7 @@ impl fmt::Display for World {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used)]
 
 pub mod attributes;
 pub mod map;

@@ -118,6 +118,7 @@ impl WorldMonitor {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

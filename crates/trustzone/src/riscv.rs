@@ -174,6 +174,7 @@ impl PmpMemoryMap {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -32,70 +32,69 @@
 //! The protected data path is *batched and channel-parallel*. An
 //! in-storage program submits its whole page set as one request
 //! (`IceClave::submit_batch`); `read_flash_page` survives as the
-//! one-element wrapper. A batch flows through four stages, each
-//! overlapping with the others on the simulator's resource timelines:
+//! one-element wrapper. Both are thin wrappers over the event-driven
+//! executor described below: submit one ticket, wait for it. A read
+//! batch flows through four stages, each overlapping with the others
+//! on the simulator's resource timelines:
 //!
 //! ```text
 //!  submit_batch(tee, lpns, now)
-//!      │ 1. translate + ID-bit check every page up front
-//!      │    (a denied page aborts the batch before any flash
-//!      │     traffic and throws the TEE out, §4.5)
+//!      │ 1. Ftl::translate_batch: translate + ID-bit check every
+//!      │    page up front (a denied page aborts the batch before any
+//!      │    flash traffic and throws the TEE out, §4.5)
 //!      ▼
-//!  Ftl::read_batch ── ChannelScheduler: per-channel FIFO queues,
-//!      │               issued round-robin across channels
+//!  channel grant ── WfqArbiter: each channel serves the batch's
+//!      │            pages one at a time, FIFO in request order
 //!      ▼
-//!  FlashArray::read_pages ── per-die cell reads and per-channel bus
-//!      │                     transfers overlap/queue on Resource
-//!      │                     timelines (Figures 12–13 scaling)
+//!  FlashArray::read_page ── per-die cell reads and per-channel bus
+//!      │                    transfers overlap/queue on Resource
+//!      │                    timelines (Figures 12–13 scaling)
 //!      ▼
 //!  decrypt lanes (iceclave_sim::Pipeline, one per channel) ── each
 //!      │        channel's cipher engine drains its pages in
 //!      │        flash-completion order, hiding decryption under the
 //!      │        other channels' transfers
 //!      ▼
-//!  MeeEngine::fill_pages ── counter-init + MAC generation of early
+//!  MeeEngine::fill_page ── counter-init + MAC generation of early
 //!               pages overlap with later transfers; per-page
 //!               completion times return in request order
 //! ```
 //!
-//! The vocabulary types ([`iceclave_types::BatchRequest`],
-//! [`iceclave_types::BatchCompletion`]) carry per-page ready times and
-//! — for pages with functional content — the deciphered plaintext, so
-//! tests can assert byte-identical batch/sequential equivalence
-//! (`tests/batch_equivalence.rs`).
+//! The completion type ([`iceclave_types::BatchCompletion`]) carries
+//! per-page ready times and — for pages with functional content —
+//! the deciphered plaintext, so tests can assert byte-identical
+//! batch/sequential equivalence (`tests/batch_equivalence.rs`).
 //!
 //! The **write path** mirrors the read pipeline for programs. A
 //! program submits its dirty page set as one request
 //! (`IceClave::submit_write_batch` / `submit_write_batch_as`, the
-//! latter carrying plaintext payloads); `write_flash_page` is the
-//! one-element wrapper:
+//! latter carrying plaintext payloads):
 //!
 //! ```text
 //!  submit_write_batch(tee, lpns, now)
-//!      │ 1. ownership-check every page up front (all-or-nothing: a
-//!      │    foreign page aborts the batch before any allocation or
-//!      │    flash traffic and throws the TEE out, §4.5)
+//!      │ 1. Ftl::check_write_access: ownership-check every page up
+//!      │    front (all-or-nothing: a foreign page aborts the batch
+//!      │    before any allocation or flash traffic and throws the
+//!      │    TEE out, §4.5)
+//!      ▼
+//!  MeeEngine::seal_pages + cipher lanes ── the DRAM read-out gates
+//!      │        per-channel stream encryption; counter-epoch
+//!      │        increments and outbound MAC generation overlap with
+//!      │        the channel programs
 //!      ▼
 //!  Ftl::write_batch ── ONE secure-world entry per batch (vs. two
-//!      │               switches per page on Ftl::write); GC-aware
-//!      │               allocation steers each page to the least-loaded
-//!      │               channel, and a GC pass triggered mid-batch
-//!      │               stalls only its own channel's later programs
+//!      │               switches per page on Ftl::write), once the
+//!      │               last ciphertext exists; GC-aware allocation
+//!      │               steers each page to the least-loaded channel,
+//!      │               and a GC pass triggered mid-batch stalls only
+//!      │               its own channel's later programs
 //!      ▼
-//!  ChannelScheduler ── per-channel *program* queues beside the read
-//!      │               queues; reads and writes interleave round-robin
-//!      │               per channel, FIFO within a queue
-//!      ▼
-//!  FlashArray::program_pages ── per-channel bus transfers and per-die
-//!      │                        program pulses overlap/queue on the
-//!      │                        Resource timelines; CMT updates are
-//!      │                        coalesced so each dirty translation
-//!      │                        page persists once per batch
-//!      ▼
-//!  MeeEngine::seal_pages + cipher lanes ── counter-epoch increments,
-//!               outbound MAC generation and per-channel stream
-//!               encryption overlap with the channel programs; a page
-//!               is durable at max(program, seal, encrypt)
+//!  FlashArray::program_page ── one page per channel per sweep, FIFO
+//!               within a channel; bus transfers and die program
+//!               pulses overlap/queue on the Resource timelines; CMT
+//!               updates are coalesced so each dirty translation page
+//!               persists once per batch; a page is durable at
+//!               max(program, seal, encrypt)
 //! ```
 //!
 //! The write vocabulary ([`iceclave_types::WriteBatchRequest`],
