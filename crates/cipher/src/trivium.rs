@@ -134,13 +134,28 @@ impl Trivium {
 
     /// Produces `n` keystream bytes.
     pub fn keystream_bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next_byte()).collect()
+        let mut bytes = vec![0; n];
+        self.apply_keystream(&mut bytes);
+        bytes
     }
 
     /// XORs the keystream into `data` in place (encryption and
-    /// decryption are the same operation).
+    /// decryption are the same operation). Bytes left over from the
+    /// last 64-step batch go first; then each 8-byte chunk takes one
+    /// whole batch, the 64 bits per cycle of the paper's engine.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        for byte in data {
+        let buffered = data.len().min(8 - self.consumed);
+        let (head, body) = data.split_at_mut(buffered);
+        for byte in head {
+            *byte ^= self.next_byte();
+        }
+        let mut chunks = body.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            for (byte, key) in chunk.iter_mut().zip(self.step64().to_be_bytes()) {
+                *byte ^= key;
+            }
+        }
+        for byte in chunks.into_remainder() {
             *byte ^= self.next_byte();
         }
     }
@@ -283,6 +298,44 @@ mod tests {
         let bulk = a.keystream_bytes(100);
         let bytes: Vec<u8> = (0..100).map(|_| b.next_byte()).collect();
         assert_eq!(bulk, bytes);
+    }
+
+    /// The word-wide path (buffered head, 8-byte batches, byte tail)
+    /// must produce the same keystream however the calls are split:
+    /// for every starting offset and length in 0..=70 and every split
+    /// point, two chunked applies equal one one-shot apply, and both
+    /// equal the bit-at-a-time reference.
+    #[test]
+    fn chunked_applies_match_one_shot_and_reference() {
+        let (key, iv) = ([0x3c; 10], [0xa5; 10]);
+        let reference = TriviumRef::new(&key, &iv).keystream_bytes(141);
+        let plain: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(37)).collect();
+        for offset in 0..=70 {
+            for len in 0..=70 {
+                let expected: Vec<u8> = plain[..len]
+                    .iter()
+                    .zip(&reference[offset..])
+                    .map(|(p, k)| p ^ k)
+                    .collect();
+                let mut one_shot = plain[..len].to_vec();
+                let mut cipher = Trivium::new(&key, &iv);
+                assert_eq!(cipher.keystream_bytes(offset), reference[..offset]);
+                cipher.apply_keystream(&mut one_shot);
+                assert_eq!(one_shot, expected, "offset {offset}, len {len}");
+                for split in 0..=len {
+                    let mut chunked = plain[..len].to_vec();
+                    let mut cipher = Trivium::new(&key, &iv);
+                    cipher.apply_keystream(&mut vec![0; offset]);
+                    let (a, b) = chunked.split_at_mut(split);
+                    cipher.apply_keystream(a);
+                    cipher.apply_keystream(b);
+                    assert_eq!(
+                        chunked, expected,
+                        "offset {offset}, len {len}, split {split}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

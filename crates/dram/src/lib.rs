@@ -203,6 +203,57 @@ struct Bank {
     last_was_write: bool,
 }
 
+impl Bank {
+    /// Row outcome, bank occupancy and earliest command start of an
+    /// access to `row` arriving at `arrival`.
+    ///
+    /// Bank *occupancy* covers only the commands that keep the bank
+    /// busy (activate/precharge and the CAS slot); the CAS-to-data
+    /// latency (tCL) is pipelined, so back-to-back row hits stream at
+    /// the burst rate while each access still sees tCL of latency. On a
+    /// conflict the precharge may additionally wait for tRAS since the
+    /// previous activate.
+    #[inline]
+    fn plan(
+        &self,
+        row: u64,
+        arrival: SimTime,
+        timing: &Timing,
+    ) -> (RowOutcome, SimDuration, SimTime) {
+        match self.open_row {
+            Some(open) if open == row => (RowOutcome::Hit, timing.occ_hit, arrival),
+            Some(_) => {
+                let occupancy = if self.last_was_write {
+                    timing.occ_conflict_wr
+                } else {
+                    timing.occ_conflict
+                };
+                let ras_done = self.last_activate + timing.t_ras;
+                (RowOutcome::Conflict, occupancy, arrival.max(ras_done))
+            }
+            None => (RowOutcome::ClosedMiss, timing.occ_closed, arrival),
+        }
+    }
+
+    /// Issues a planned command no earlier than `earliest`, leaving
+    /// `row` open, and returns the command's span.
+    #[inline]
+    fn issue(
+        &mut self,
+        row: u64,
+        is_write: bool,
+        (outcome, occupancy, earliest): (RowOutcome, SimDuration, SimTime),
+    ) -> ServiceSpan {
+        let command = self.busy.acquire(earliest, occupancy);
+        if outcome != RowOutcome::Hit {
+            self.last_activate = command.start;
+        }
+        self.open_row = Some(row);
+        self.last_was_write = is_write;
+        command
+    }
+}
+
 /// Command durations precomputed at construction so the per-access path
 /// never re-derives them through `Hertz::cycles` (a 128-bit division).
 /// Each field caches `clock.cycles(n)` for exactly the cycle count `n`
@@ -276,6 +327,67 @@ impl MapShifts {
             row_shift,
         })
     }
+
+    /// Maps line `x` to `(channel, flat bank index, row)`: the chained
+    /// divides of [`Dram::map`] reduce to shifts and masks.
+    #[inline]
+    fn map(&self, x: u64) -> (u32, usize, u64) {
+        let channel = (x & self.ch_mask) as u32;
+        let y = x >> self.ch_shift;
+        let bank = y & self.bank_mask;
+        let y = y >> self.bank_shift;
+        let rank = y & self.rank_mask;
+        let row = (y >> self.rank_shift) >> self.row_shift;
+        let flat_bank = ((u64::from(channel) << self.rank_shift) + rank) << self.bank_shift;
+        (channel, (flat_bank + bank) as usize, row)
+    }
+}
+
+/// One data bus's acquire chain during [`Dram::access_run`], kept in
+/// registers and committed to the bus `Resource` once per row window.
+#[derive(Copy, Clone, Debug)]
+struct BusChain {
+    /// When the last booked burst ends.
+    free: SimTime,
+    /// Bursts booked.
+    ops: u64,
+    /// Sum of the booked lines' latencies since `arrival`.
+    latency: SimDuration,
+    /// The run's arrival time.
+    arrival: SimTime,
+}
+
+impl BusChain {
+    fn new(free: SimTime, arrival: SimTime) -> Self {
+        BusChain {
+            free,
+            ops: 0,
+            latency: SimDuration::ZERO,
+            arrival,
+        }
+    }
+
+    /// Books the burst of a line whose column command ends at `end`:
+    /// data appears `t_cl` after the command and waits for the bus.
+    #[inline]
+    fn stream(&mut self, end: SimTime, timing: &Timing) {
+        let burst_start = (end + timing.t_cl - timing.burst).max(self.free);
+        self.free = burst_start + timing.burst;
+        self.ops += 1;
+        self.latency += self.free.saturating_since(self.arrival);
+    }
+
+    /// Books `lines` bursts that all find the bus busy, so each starts
+    /// where the previous one ends. Called after at least one
+    /// [`BusChain::stream`], whose burst cannot end before `arrival`, so
+    /// the latencies sum in closed form.
+    fn stream_back_to_back(&mut self, lines: u64, timing: &Timing) {
+        debug_assert!(self.free >= self.arrival);
+        self.latency += self.free.saturating_since(self.arrival) * lines
+            + timing.burst * (lines * (lines + 1) / 2);
+        self.free += timing.burst * lines;
+        self.ops += lines;
+    }
 }
 
 /// The DRAM device model.
@@ -323,51 +435,22 @@ impl Dram {
     pub fn access(&mut self, line: CacheLine, op: MemOp, arrival: SimTime) -> ServiceSpan {
         let (channel, bank_idx, row) = self.map(line);
         let timing = self.timing;
-
-        // Bank *occupancy* covers only the commands that keep the bank
-        // busy (activate/precharge and the CAS slot); the CAS-to-data
-        // latency (tCL) is pipelined, so back-to-back row hits stream at
-        // the burst rate while each access still sees tCL of latency.
-        let (outcome, occupancy) = {
-            let bank = &self.banks[bank_idx];
-            match bank.open_row {
-                Some(open) if open == row => (RowOutcome::Hit, timing.occ_hit),
-                Some(_) if bank.last_was_write => (RowOutcome::Conflict, timing.occ_conflict_wr),
-                Some(_) => (RowOutcome::Conflict, timing.occ_conflict),
-                None => (RowOutcome::ClosedMiss, timing.occ_closed),
-            }
-        };
-
-        // On a conflict the precharge may additionally wait for tRAS since
-        // the previous activate.
-        let mut earliest_start = if outcome == RowOutcome::Conflict {
-            let ras_done = self.banks[bank_idx].last_activate + timing.t_ras;
-            arrival.max(ras_done)
-        } else {
-            arrival
-        };
+        let (outcome, occupancy, mut earliest) = self.banks[bank_idx].plan(row, arrival, &timing);
         // Periodic refresh: commands issued while the rank refreshes
         // wait for the refresh cycle to complete.
         if self.config.refresh_enabled {
-            let into_window = earliest_start.as_ps() % timing.refi_ps;
+            let into_window = earliest.as_ps() % timing.refi_ps;
             if into_window < timing.rfc_ps {
-                earliest_start += SimDuration::from_ps(timing.rfc_ps - into_window);
+                earliest += SimDuration::from_ps(timing.rfc_ps - into_window);
                 self.stats.refresh_stalls += 1;
             }
         }
-
-        let command = self.banks[bank_idx].busy.acquire(earliest_start, occupancy);
+        let command =
+            self.banks[bank_idx].issue(row, op == MemOp::Write, (outcome, occupancy, earliest));
         // Data appears tCL after the column command and occupies the
         // shared data bus for the burst.
         let burst = self.buses[channel as usize]
             .acquire(command.end + timing.t_cl - timing.burst, timing.burst);
-
-        let bank = &mut self.banks[bank_idx];
-        if outcome != RowOutcome::Hit {
-            bank.last_activate = command.start;
-        }
-        bank.open_row = Some(row);
-        bank.last_was_write = op == MemOp::Write;
 
         match outcome {
             RowOutcome::Hit => self.stats.row_hits += 1,
@@ -398,9 +481,9 @@ impl Dram {
     ) -> SimTime {
         // The streaming runs of the page fill/seal paths dominate the
         // simulator's wall-clock profile, so the common case (power-of-
-        // two geometry, no refresh) runs a specialized loop with the
-        // timing constants hoisted and statistics batched into locals.
-        // `run_equals_access_loop` pins it to the general path.
+        // two geometry, no refresh) walks the run in bank rounds instead
+        // of line by line. `run_equals_access_loop` pins it to per-line
+        // `access`.
         let (Some(s), false) = (self.shifts, self.config.refresh_enabled) else {
             let mut t = arrival;
             for i in 0..count {
@@ -412,76 +495,75 @@ impl Dram {
             return t;
         };
         let timing = self.timing;
+        debug_assert!(timing.occ_hit <= timing.burst);
         let is_write = op == MemOp::Write;
-        // The per-channel data buses form independent acquire chains;
-        // keep each chain's frontier in a stack slot and commit the
-        // aggregate back to the `Resource` once after the loop.
-        const MAX_LOCAL_CH: usize = 64;
-        let nch = self.buses.len();
-        if nch > MAX_LOCAL_CH {
-            let mut t = arrival;
-            for i in 0..count {
-                t = self
-                    .access(CacheLine::new(line.raw() + i), op, arrival)
-                    .end
-                    .max(t);
-            }
-            return t;
-        }
-        let mut bus_free = [SimTime::ZERO; MAX_LOCAL_CH];
-        let mut bus_ops = [0u64; MAX_LOCAL_CH];
-        for (c, bus) in self.buses.iter().enumerate() {
-            bus_free[c] = bus.next_free();
-        }
-        let mut done = arrival;
+        let banks = self.banks.len();
+        let channels = self.buses.len();
+        // A row window holds `lines_per_row` lines of every bank, all in
+        // one row. Any `banks` consecutive lines of a window touch each
+        // bank once, and line i + banks lands on line i's bank and row.
+        // So within a window only the first round of `banks` lines needs
+        // the per-bank logic; each later line is a row hit that ends
+        // `occ_hit` after its bank's previous command.
+        //
+        // Banks and buses are independent resources, so the walk goes
+        // channel by channel. Line i is on channel i mod `channels`, and
+        // `banks` is a multiple of `channels`, so a channel owns every
+        // `channels`-th line of a round, from `k0` on. Its bus serves
+        // the first round's lines, then the later rounds'. Those later
+        // bursts all start where the previous burst on the bus ends:
+        // after the first round the bus is free no earlier than `t_cl`
+        // past each of its banks' command ends, and a later round moves
+        // each bank on by `occ_hit`, one burst, but the bus by one burst
+        // per bank of the channel. So each bank's hits and each bus's
+        // bursts are committed to their `Resource` once per window.
+        let window = (banks as u64) << s.row_shift;
         let (mut hits, mut closed, mut conflicts) = (0u64, 0u64, 0u64);
         let mut total = SimDuration::ZERO;
-        for i in 0..count {
-            let x = line.raw() + i;
-            let channel = (x & s.ch_mask) as usize;
-            let y = x >> s.ch_shift;
-            let bank_lo = y & s.bank_mask;
-            let rank = (y >> s.bank_shift) & s.rank_mask;
-            let row = ((y >> s.bank_shift) >> s.rank_shift) >> s.row_shift;
-            let bank_idx =
-                (((((x & s.ch_mask) << s.rank_shift) + rank) << s.bank_shift) + bank_lo) as usize;
-            let bank = &mut self.banks[bank_idx];
-            let (hit, occupancy, earliest) = match bank.open_row {
-                Some(open) if open == row => {
-                    hits += 1;
-                    (true, timing.occ_hit, arrival)
+        let mut done = arrival;
+        let mut x = line.raw();
+        let mut left = count;
+        while left > 0 {
+            let len = left.min(window - (x & (window - 1)));
+            let first = len.min(banks as u64) as usize;
+            let repeats = len - first as u64;
+            let (rounds, partial) = (repeats / banks as u64, (repeats % banks as u64) as usize);
+            for (c, bus) in self.buses.iter_mut().enumerate() {
+                let k0 = ((c as u64).wrapping_sub(x) & s.ch_mask) as usize;
+                let mut chain = BusChain::new(bus.next_free(), arrival);
+                let mut later = 0;
+                for k in (k0..first).step_by(channels) {
+                    let (_, bank_idx, row) = s.map(x + k as u64);
+                    let bank = &mut self.banks[bank_idx];
+                    let plan = bank.plan(row, arrival, &timing);
+                    let command = bank.issue(row, is_write, plan);
+                    match plan.0 {
+                        RowOutcome::Hit => hits += 1,
+                        RowOutcome::ClosedMiss => closed += 1,
+                        RowOutcome::Conflict => conflicts += 1,
+                    }
+                    chain.stream(command.end, &timing);
+                    let n = rounds + u64::from(k < partial);
+                    if n > 0 {
+                        let hit_time = timing.occ_hit * n;
+                        bank.busy.commit_run(command.end + hit_time, hit_time, n);
+                        later += n;
+                    }
                 }
-                Some(_) => {
-                    conflicts += 1;
-                    let occ = if bank.last_was_write {
-                        timing.occ_conflict_wr
-                    } else {
-                        timing.occ_conflict
-                    };
-                    (false, occ, arrival.max(bank.last_activate + timing.t_ras))
+                if later > 0 {
+                    chain.stream_back_to_back(later, &timing);
                 }
-                None => {
-                    closed += 1;
-                    (false, timing.occ_closed, arrival)
+                if chain.ops > 0 {
+                    bus.commit_run(chain.free, timing.burst * chain.ops, chain.ops);
+                    total += chain.latency;
+                    // A bus chain only moves forward, so its last burst
+                    // is its latest.
+                    done = done.max(chain.free);
                 }
-            };
-            let command = bank.busy.acquire(earliest, occupancy);
-            if !hit {
-                bank.last_activate = command.start;
             }
-            bank.open_row = Some(row);
-            bank.last_was_write = is_write;
-            let burst_start = (command.end + timing.t_cl - timing.burst).max(bus_free[channel]);
-            let burst_end = burst_start + timing.burst;
-            bus_free[channel] = burst_end;
-            bus_ops[channel] += 1;
-            total += burst_end.saturating_since(arrival);
-            done = done.max(burst_end);
-        }
-        for (c, bus) in self.buses.iter_mut().enumerate() {
-            if bus_ops[c] > 0 {
-                bus.commit_run(bus_free[c], timing.burst * bus_ops[c], bus_ops[c]);
-            }
+            hits += repeats;
+            x += len;
+            left -= len;
         }
         self.stats.row_hits += hits;
         self.stats.row_closed_misses += closed;
@@ -556,18 +638,7 @@ impl Dram {
     fn map(&self, line: CacheLine) -> (u32, usize, u64) {
         let c = &self.config;
         if let Some(s) = self.shifts {
-            // Power-of-two geometry (every stock config): the chained
-            // divides reduce to shifts and masks.
-            let x = line.raw();
-            let channel = (x & s.ch_mask) as u32;
-            let x = x >> s.ch_shift;
-            let bank = x & s.bank_mask;
-            let x = x >> s.bank_shift;
-            let rank = x & s.rank_mask;
-            let x = x >> s.rank_shift;
-            let row = x >> s.row_shift;
-            let flat_bank = ((u64::from(channel) << s.rank_shift) + rank) << s.bank_shift;
-            return (channel, (flat_bank + bank) as usize, row);
+            return s.map(line.raw());
         }
         let mut x = line.raw();
         let channel = (x % u64::from(c.channels)) as u32;
@@ -665,35 +736,100 @@ mod tests {
         assert_eq!(d.stats().bytes(), 8 * 64);
     }
 
+    /// Asserts two models are indistinguishable: same statistics and
+    /// the same timeline and row state on every bank and bus.
+    fn assert_same_state(fast: &Dram, slow: &Dram, ctx: &str) {
+        assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+        for (i, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
+            let state = |b: &Bank| {
+                (
+                    b.busy.next_free(),
+                    b.busy.busy_time(),
+                    b.busy.operations(),
+                    b.open_row,
+                    b.last_activate,
+                    b.last_was_write,
+                )
+            };
+            assert_eq!(state(f), state(s), "bank {i}, {ctx}");
+        }
+        for (i, (f, s)) in fast.buses.iter().zip(&slow.buses).enumerate() {
+            let state = |r: &Resource| (r.next_free(), r.busy_time(), r.operations());
+            assert_eq!(state(f), state(s), "bus {i}, {ctx}");
+        }
+    }
+
     #[test]
     fn run_equals_access_loop() {
-        // The specialized streaming loop must be indistinguishable from
-        // per-line `access` calls: same completion times, same stats,
-        // same bank state afterwards (probed by the final run).
-        let mut fast = dram();
-        let mut slow = dram();
-        let mut t_fast = SimTime::ZERO;
-        let mut t_slow = SimTime::ZERO;
-        let runs = [
-            (0u64, 64u64, MemOp::Write),
-            (64, 64, MemOp::Read),
-            (17, 5, MemOp::Write),
-            (64, 64, MemOp::Write),
-            (4096, 64, MemOp::Read),
-            (0, 64, MemOp::Read),
-        ];
-        for (base, count, op) in runs {
-            t_fast = fast.access_run(CacheLine::new(base), count, op, t_fast);
-            let arrival = t_slow;
-            for i in 0..count {
-                t_slow = slow
-                    .access(CacheLine::new(base + i), op, arrival)
-                    .end
-                    .max(t_slow);
+        // The bank-round walk must be indistinguishable from per-line
+        // `access` calls on a twin model: same completion times, same
+        // stats, same bank and bus state after every run. The sweep
+        // covers 1-, 2-, 4- and 8-channel geometries (16 to 128 banks),
+        // row windows small enough that a run starts mid-window and
+        // crosses one or two of them, every count in 0..=300, mixed
+        // ops, and arrivals both before and after the bank and bus
+        // frontiers. One timing has tCL < burst, where the burst start
+        // must saturate rather than underflow.
+        let mut state = 0xd7a3_u64;
+        let mut next = move |bound: u64| -> u64 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let short_cl = DramConfig {
+            t_cl: 2,
+            ..DramConfig::table3()
+        };
+        for channels in [1, 2, 4, 8] {
+            for row_size in [ByteSize::from_bytes(512), ByteSize::from_kib(8)] {
+                for base_config in [DramConfig::table3(), short_cl] {
+                    let config = DramConfig {
+                        channels,
+                        row_size,
+                        ..base_config
+                    };
+                    let window = u64::from(config.total_banks()) * config.lines_per_row();
+                    let mut fast = Dram::new(config);
+                    let mut slow = Dram::new(config);
+                    for count in 0..=300u64 {
+                        let base = next(4) * window + next(window);
+                        let op = if next(2) == 0 {
+                            MemOp::Read
+                        } else {
+                            MemOp::Write
+                        };
+                        let frontier = fast
+                            .buses
+                            .iter()
+                            .map(Resource::next_free)
+                            .max()
+                            .unwrap_or(SimTime::ZERO);
+                        let delta = SimDuration::from_ps(next(2_000_000));
+                        let arrival = if next(2) == 0 {
+                            frontier - delta
+                        } else {
+                            frontier + delta
+                        };
+                        let t_fast = fast.access_run(CacheLine::new(base), count, op, arrival);
+                        let mut t_slow = arrival;
+                        for i in 0..count {
+                            t_slow = slow
+                                .access(CacheLine::new(base + i), op, arrival)
+                                .end
+                                .max(t_slow);
+                        }
+                        let ctx = format!(
+                            "{channels} ch, {row_size:?} rows, t_cl {}, run {base}+{count}",
+                            config.t_cl
+                        );
+                        assert_eq!(t_fast, t_slow, "{ctx}");
+                        assert_same_state(&fast, &slow, &ctx);
+                    }
+                }
             }
-            assert_eq!(t_fast, t_slow);
         }
-        assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]

@@ -42,6 +42,22 @@
 //! one ticket per lane — or under the legacy [`TicketPolicy::Fifo`] —
 //! the grant sequence is bit-identical to the flat arbiter.
 //!
+//! A grant costs O(log T) in the lane's T live tickets, not a scan of
+//! them. Each lane files one *selection entry* per sub-lane in one of
+//! two heaps: `eligible` holds sub-lanes whose finish tag the lane
+//! clock has reached (all share the start tag `tvtime`, so the oldest
+//! sub-lane wins), and `waiting` holds the rest keyed by *(finish,
+//! insertion order)*. Selection first moves reached `waiting` entries
+//! over, then takes the top of `eligible`, else of `waiting` — the
+//! same winner a strict-`<` scan over the sub-lanes in insertion order
+//! picks. Entries are invalidated lazily: one is *live* while its
+//! sub-lane still exists and its finish tag is unchanged. Every grant
+//! and every surcharge strictly raises the tag and files one new
+//! entry, so each sub-lane has exactly one live entry and stale ones
+//! are dropped when they reach a heap top. Enqueue checks the newest
+//! sub-lane first, so a ticket's pages, which arrive together, find
+//! their sub-lane in O(1).
+//!
 //! # Invariants
 //!
 //! 1. **One grant in flight.** A channel with queued pages always has
@@ -68,7 +84,9 @@
 //!    path. Likewise, a lane holding a single ticket grants the same
 //!    *(ready, page)* order under either ticket policy.
 //! 5. **Determinism.** Selection depends only on arbiter state: ties on
-//!    start tags break by TEE id (and by ticket id one level down),
+//!    start tags break by TEE id (and, one level down, by the order the
+//!    ticket sub-lanes were opened in — ticket-id order whenever
+//!    tickets enqueue in id order, as the runtime's do),
 //!    ties inside a (sub-)lane by *(ready, ticket, page)*. Identical
 //!    submission sequences produce identical grant sequences.
 //!
@@ -161,6 +179,9 @@ pub struct IssueGrant {
 struct TicketLane {
     /// Raw ticket id.
     ticket: u64,
+    /// Position in the lane's insertion order: the tie-break between
+    /// sub-lanes with equal start tags.
+    seq: u64,
     /// Per-ticket weight, fixed at enqueue time.
     weight: u32,
     /// Virtual finish tag of the ticket's last grant (or surcharge),
@@ -181,21 +202,181 @@ struct Lane {
     /// exactly the ascending key order the former ordered map gave.
     /// Used under [`TicketPolicy::Fifo`]; empty otherwise.
     queue: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Pages queued in this lane, in `queue` or across `tickets`.
+    queued: usize,
     /// Ticket-clock virtual time: the ticket-level start tag of the
-    /// lane's last grant ([`TicketPolicy::Wfq`] only).
+    /// lane's last grant, raised to a departing ticket's finish tag
+    /// ([`TicketPolicy::Wfq`] only). Never decreases.
     tvtime: u64,
-    /// Per-ticket sub-lanes, each non-empty by construction (a drained
-    /// sub-lane is removed on the spot — read tickets enqueue all
-    /// their pages at submission, so an empty sub-lane can never
-    /// refill). Kept in ascending ticket-id order: ticket ids are
-    /// allocated monotonically and all pages of a ticket enqueue
-    /// together. Used under [`TicketPolicy::Wfq`]; empty otherwise.
-    tickets: Vec<TicketLane>,
+    /// Per-ticket sub-lanes in reusable slots (`None` = free). Every
+    /// live sub-lane is non-empty: a drained one is freed on the spot
+    /// (read tickets enqueue all their pages at submission, so it can
+    /// never refill). Used under [`TicketPolicy::Wfq`]; empty
+    /// otherwise.
+    tickets: Vec<Option<TicketLane>>,
+    /// Free slots of `tickets`.
+    free: Vec<usize>,
+    /// Slot of the most recently opened sub-lane — the one an
+    /// enqueue almost always targets.
+    newest: usize,
+    /// Largest ticket id ever given a sub-lane here: a larger id has
+    /// none, so opening it needs no search.
+    max_ticket: u64,
+    /// Insertion counter handing out [`TicketLane::seq`].
+    next_seq: u64,
+    /// Selection entries with `finish <= tvtime`, as *(seq, slot,
+    /// finish)*: all share the start tag `tvtime`, so the oldest wins.
+    eligible: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Selection entries with `finish > tvtime`, as *(finish, seq,
+    /// slot)*: the start tag is the finish tag itself.
+    waiting: BinaryHeap<Reverse<(u64, u64, usize)>>,
 }
 
 impl Lane {
-    fn queued(&self) -> usize {
-        self.queue.len() + self.tickets.iter().map(|t| t.queue.len()).sum::<usize>()
+    /// Slot of `ticket`'s sub-lane, if it has one. The newest sub-lane
+    /// is checked first, and an id above every id seen cannot match,
+    /// so only an out-of-order enqueue (or a surcharge, or a
+    /// cancellation) scans the slots.
+    fn find_ticket(&self, ticket: u64) -> Option<usize> {
+        if matches!(self.tickets.get(self.newest), Some(Some(sub)) if sub.ticket == ticket) {
+            return Some(self.newest);
+        }
+        if ticket > self.max_ticket {
+            return None;
+        }
+        self.tickets
+            .iter()
+            .position(|sub| sub.as_ref().is_some_and(|sub| sub.ticket == ticket))
+    }
+
+    /// Opens a sub-lane for `ticket` at `weight` and returns its slot.
+    fn open_ticket(&mut self, ticket: u64, weight: u32) -> usize {
+        // New tickets enter at finish 0: their first start tag is
+        // max(tvtime, 0) = tvtime, so a fresh ticket starts at the lane
+        // clock and is granted promptly. Churn cannot bank credit,
+        // because a *departing* ticket surrenders its finish tag to the
+        // lane clock (see `grant_ticket`): back-to-back short tickets
+        // each start one quantum later, keeping a cycling K-page
+        // ticket's long-run share at exactly its weighted share.
+        let sub = TicketLane {
+            ticket,
+            seq: self.next_seq,
+            weight,
+            finish: 0,
+            queue: BinaryHeap::new(),
+        };
+        self.next_seq += 1;
+        self.max_ticket = self.max_ticket.max(ticket);
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.tickets.push(None);
+                self.tickets.len() - 1
+            }
+        };
+        self.file(slot, sub.seq, sub.finish);
+        self.tickets[slot] = Some(sub);
+        self.newest = slot;
+        slot
+    }
+
+    /// Files the selection entry of the sub-lane `seq` in `slot` for
+    /// its current finish tag.
+    fn file(&mut self, slot: usize, seq: u64, finish: u64) {
+        if finish <= self.tvtime {
+            self.eligible.push(Reverse((seq, slot, finish)));
+        } else {
+            self.waiting.push(Reverse((finish, seq, slot)));
+        }
+    }
+
+    /// Frees `slot`. Once no sub-lane is left, every selection entry
+    /// is stale, so both heaps are dropped with the slots.
+    fn close_ticket(&mut self, slot: usize) {
+        if let Some(sub) = self.tickets[slot].take() {
+            self.queued -= sub.queue.len();
+            self.free.push(slot);
+        }
+        if self.free.len() == self.tickets.len() {
+            self.tickets.clear();
+            self.free.clear();
+            self.eligible.clear();
+            self.waiting.clear();
+        }
+    }
+
+    /// Whether a selection entry still describes its sub-lane: the
+    /// slot holds the same sub-lane (`seq`) with an unchanged finish
+    /// tag. Grants and surcharges strictly raise the tag, so each
+    /// sub-lane has exactly one live entry.
+    fn is_live(&self, slot: usize, seq: u64, finish: u64) -> bool {
+        matches!(self.tickets.get(slot), Some(Some(sub)) if sub.seq == seq && sub.finish == finish)
+    }
+
+    /// Pops the winning sub-lane's entry and returns its slot and
+    /// start tag: the smallest `max(tvtime, finish)`, ties by insertion
+    /// order — the order a scan over the sub-lanes with strict `<`
+    /// picks. Stale entries met on the way are dropped.
+    fn pop_winner(&mut self) -> Option<(usize, u64)> {
+        while let Some(&Reverse((finish, seq, slot))) = self.waiting.peek() {
+            if finish > self.tvtime {
+                break;
+            }
+            self.waiting.pop();
+            if self.is_live(slot, seq, finish) {
+                self.eligible.push(Reverse((seq, slot, finish)));
+            }
+        }
+        while let Some(Reverse((seq, slot, finish))) = self.eligible.pop() {
+            if self.is_live(slot, seq, finish) {
+                return Some((slot, self.tvtime));
+            }
+        }
+        while let Some(Reverse((finish, seq, slot))) = self.waiting.pop() {
+            if self.is_live(slot, seq, finish) {
+                return Some((slot, finish));
+            }
+        }
+        None
+    }
+
+    /// Grants the head page of the winning ticket sub-lane and
+    /// advances the ticket clock, returning *(ready, ticket, page,
+    /// tstart)*.
+    fn grant_ticket(&mut self) -> Option<(SimTime, u64, u32, u64)> {
+        let (slot, tstart) = self.pop_winner()?;
+        let sub = self.tickets[slot].as_mut()?;
+        let Reverse((ready, page)) = sub.queue.pop()?;
+        self.queued -= 1;
+        sub.finish = tstart + QUANTUM_FP / u64::from(sub.weight);
+        self.tvtime = tstart;
+        let (ticket, seq, finish) = (sub.ticket, sub.seq, sub.finish);
+        if sub.queue.is_empty() {
+            // The departing ticket surrenders its finish tag to the
+            // lane clock first — a successor ticket entering at finish
+            // 0 then starts where this one left off, so a tenant cannot
+            // bank credit by splitting work into back-to-back short
+            // tickets (churn gaming).
+            self.tvtime = self.tvtime.max(finish);
+            self.close_ticket(slot);
+        } else {
+            self.file(slot, seq, finish);
+        }
+        Some((ready, ticket, page, tstart))
+    }
+
+    /// Debits `surcharge` (scaled by the ticket weight) to the
+    /// sub-lane in `slot` and files its new selection entry.
+    fn surcharge_ticket(&mut self, slot: usize, surcharge: u64) {
+        let Some(sub) = self.tickets[slot].as_mut() else {
+            return;
+        };
+        // The sub-lane's finish is already >= any start tag it was
+        // granted at, so a plain debit suffices (no vtime clamp — the
+        // ticket is live, not re-entering from idle).
+        sub.finish += surcharge / u64::from(sub.weight);
+        let (seq, finish) = (sub.seq, sub.finish);
+        self.file(slot, seq, finish);
     }
 }
 
@@ -426,32 +607,16 @@ impl WfqArbiter {
             TicketPolicy::Fifo => lane.queue.push(Reverse((ready, ticket.raw(), page))),
             TicketPolicy::Wfq => {
                 let raw = ticket.raw();
-                let sub = match lane.tickets.iter_mut().find(|t| t.ticket == raw) {
-                    Some(sub) => sub,
-                    None => {
-                        // New tickets enter at finish 0: their first
-                        // start tag is max(tvtime, 0) = tvtime, so a
-                        // fresh ticket starts at the lane clock and is
-                        // granted promptly. Churn cannot bank credit,
-                        // because a *departing* ticket surrenders its
-                        // finish tag to the lane clock (see
-                        // `try_issue`): back-to-back short tickets
-                        // each start one quantum later, keeping a
-                        // cycling K-page ticket's long-run share at
-                        // exactly its weighted share.
-                        lane.tickets.push(TicketLane {
-                            ticket: raw,
-                            weight,
-                            finish: 0,
-                            queue: BinaryHeap::new(),
-                        });
-                        lane.tickets.last_mut().expect("just pushed")
-                    }
+                let slot = match lane.find_ticket(raw) {
+                    Some(slot) => slot,
+                    None => lane.open_ticket(raw, weight),
                 };
+                let sub = lane.tickets[slot].as_mut().expect("slot holds a sub-lane");
                 sub.weight = weight;
                 sub.queue.push(Reverse((ready, page)));
             }
         }
+        lane.queued += 1;
     }
 
     /// Number of pages `tee` has queued (not yet granted) on
@@ -463,7 +628,7 @@ impl WfqArbiter {
     pub fn queued(&self, channel: usize, tee: TeeId) -> usize {
         self.channels[channel].lanes[usize::from(tee.raw())]
             .as_ref()
-            .map_or(0, Lane::queued)
+            .map_or(0, |lane| lane.queued)
     }
 
     /// Total queued pages across all channels and tenants.
@@ -471,7 +636,7 @@ impl WfqArbiter {
         self.channels
             .iter()
             .flat_map(|c| c.lanes.iter().flatten())
-            .map(Lane::queued)
+            .map(|lane| lane.queued)
             .sum()
     }
 
@@ -494,9 +659,8 @@ impl WfqArbiter {
                     .filter(|&&Reverse((_, t, _))| t == raw)
                     .count();
                 let sub = lane
-                    .tickets
-                    .iter()
-                    .find(|t| t.ticket == raw)
+                    .find_ticket(raw)
+                    .and_then(|slot| lane.tickets[slot].as_ref())
                     .map_or(0, |t| t.queue.len());
                 flat + sub
             })
@@ -515,7 +679,10 @@ impl WfqArbiter {
         let raw = ticket.raw();
         self.channels[channel].lanes[usize::from(tee.raw())]
             .as_ref()
-            .and_then(|lane| lane.tickets.iter().find(|t| t.ticket == raw))
+            .and_then(|lane| {
+                let slot = lane.find_ticket(raw)?;
+                lane.tickets[slot].as_ref()
+            })
             .map(|t| t.finish)
     }
 
@@ -530,8 +697,10 @@ impl WfqArbiter {
     /// head page (smallest *(ready, ticket, page)*);
     /// [`TicketPolicy::Wfq`] first picks the ticket sub-lane with the
     /// smallest ticket-clock start tag `max(tvtime, ticket.finish)`
-    /// (ties by ticket id), then issues that ticket's head page
-    /// (smallest *(ready, page)*).
+    /// (ties by the order the sub-lanes were opened in), then issues
+    /// that ticket's head page (smallest *(ready, page)*). The cost is
+    /// O(16) for the lane scan plus O(log T) for the ticket pick, where
+    /// T is the lane's number of live tickets.
     ///
     /// # Panics
     ///
@@ -548,7 +717,7 @@ impl WfqArbiter {
         let mut winner: Option<(u64, usize)> = None;
         for (tee_raw, lane) in ch.lanes.iter().enumerate() {
             let Some(lane) = lane else { continue };
-            if lane.queued() == 0 {
+            if lane.queued == 0 {
                 continue;
             }
             let start = ch.vtime.max(lane.finish);
@@ -562,41 +731,12 @@ impl WfqArbiter {
         let (ready, ticket, page, tstart) = match self.ticket_policy {
             TicketPolicy::Fifo => {
                 let Reverse((ready, ticket, page)) = lane.queue.pop().expect("lane is backlogged");
+                lane.queued -= 1;
                 (ready, ticket, page, 0)
             }
-            TicketPolicy::Wfq => {
-                // Same SFQ selection one level down: smallest
-                // prospective ticket start tag wins, ties toward the
-                // smaller ticket id (sub-lanes sit in ascending-id
-                // order, so strict `<` suffices).
-                let mut best: Option<(u64, usize)> = None;
-                for (index, sub) in lane.tickets.iter().enumerate() {
-                    let tstart = lane.tvtime.max(sub.finish);
-                    if best.is_none_or(|(b, _)| tstart < b) {
-                        best = Some((tstart, index));
-                    }
-                }
-                let (tstart, index) = best.expect("lane is backlogged");
-                let sub = &mut lane.tickets[index];
-                let Reverse((ready, page)) = sub.queue.pop().expect("sub-lane is non-empty");
-                sub.finish = tstart + QUANTUM_FP / u64::from(sub.weight);
-                lane.tvtime = tstart;
-                let ticket = sub.ticket;
-                if sub.queue.is_empty() {
-                    // Read tickets enqueue every page at submission,
-                    // so a drained sub-lane never refills: drop it
-                    // (and its clock) to keep the scan short and the
-                    // channel leak-free. The departing ticket
-                    // surrenders its finish tag to the lane clock
-                    // first — a successor ticket entering at finish 0
-                    // then starts where this one left off, so a tenant
-                    // cannot bank credit by splitting work into
-                    // back-to-back short tickets (churn gaming).
-                    lane.tvtime = lane.tvtime.max(sub.finish);
-                    lane.tickets.remove(index);
-                }
-                (ready, ticket, page, tstart)
-            }
+            // Same SFQ selection one level down, from the lane's
+            // selection heaps.
+            TicketPolicy::Wfq => lane.grant_ticket().expect("lane is backlogged"),
         };
         lane.finish = start + QUANTUM_FP / u64::from(weight);
         ch.vtime = start;
@@ -667,12 +807,8 @@ impl WfqArbiter {
         let vtime = ch.vtime;
         let lane = ch.lane_mut(u16::from(tee.raw()));
         lane.finish = vtime.max(lane.finish) + surcharge / tenant_weight;
-        let raw = ticket.raw();
-        if let Some(sub) = lane.tickets.iter_mut().find(|t| t.ticket == raw) {
-            // The sub-lane's finish is already >= any start tag it was
-            // granted at, so a plain debit suffices (no vtime clamp —
-            // the ticket is live, not re-entering from idle).
-            sub.finish += surcharge / u64::from(sub.weight);
+        if let Some(slot) = lane.find_ticket(ticket.raw()) {
+            lane.surcharge_ticket(slot, surcharge);
         }
     }
 
@@ -702,8 +838,12 @@ impl WfqArbiter {
         let mut released = Vec::new();
         for (index, ch) in self.channels.iter_mut().enumerate() {
             for lane in ch.lanes.iter_mut().flatten() {
+                let before = lane.queue.len();
                 lane.queue.retain(|&Reverse((_, t, _))| t != raw);
-                lane.tickets.retain(|t| t.ticket != raw);
+                lane.queued -= before - lane.queue.len();
+                if let Some(slot) = lane.find_ticket(raw) {
+                    lane.close_ticket(slot);
+                }
             }
             if matches!(ch.busy, Some((t, _)) if t == raw) {
                 ch.busy = None;
