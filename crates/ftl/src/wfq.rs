@@ -1345,13 +1345,13 @@ mod tests {
     }
 
     /// Pins the exact two-level grant sequence under a seeded random
-    /// mix of every arbiter operation: weighted enqueues, grants,
-    /// releases, MEE surcharges (line cost 0 and 3), cancellations and
-    /// tenant forgets. One lane is driven past 100 live sub-lanes, and
-    /// one enqueues tickets out of id order with interleaved pages.
-    /// Every grant's *(ticket, page, ready, vstart, tstart)* is folded
-    /// into an FNV-1a hash, so any change to selection, tie-breaking or
-    /// tag arithmetic moves the constant.
+    /// mix of every arbiter operation: enqueues, grants, releases,
+    /// tenant weight changes, cancellations and tenant forgets. One
+    /// lane is driven past 100 live sub-lanes, and one enqueues tickets
+    /// out of id order with interleaved pages. Every grant's *(ticket,
+    /// page, ready, vstart, tstart)* is folded into an FNV-1a hash, so
+    /// any change to selection, tie-breaking or tag arithmetic moves
+    /// the constant.
     #[test]
     fn seeded_grant_sequence_is_pinned() {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1381,123 +1381,97 @@ mod tests {
         const CHANNELS: usize = 3;
         let mut hash = FNV_OFFSET;
         let mut grants = 0u64;
-        let mut max_live = 0usize;
-        for cost in [0u32, 3] {
-            let mut arb = hier(CHANNELS);
-            arb.set_mee_line_cost(cost);
-            arb.set_weight(tee(2), 2);
-            let mut next_ticket = 1u64;
-            // (tenant, ticket) of every ticket ever enqueued.
-            let mut tickets: Vec<(u16, u64)> = Vec::new();
-            let mut in_flight: [Option<(Ticket, u32)>; CHANNELS] = [None; CHANNELS];
-            let ready = |r: u64| SimTime::from_ps(r * 7);
+        let mut arb = hier(CHANNELS);
+        arb.set_weight(tee(2), 2);
+        let mut next_ticket = 1u64;
+        // (tenant, ticket) of every ticket ever enqueued.
+        let mut tickets: Vec<(u16, u64)> = Vec::new();
+        let mut in_flight: [Option<(Ticket, u32)>; CHANNELS] = [None; CHANNELS];
+        let ready = |r: u64| SimTime::from_ps(r * 7);
 
-            // Burst: tenant 1 queues 150 two-page tickets on channel 0.
-            for _ in 0..150 {
-                let t = next_ticket;
-                next_ticket += 1;
-                let weight = 1 + next(4) as u32;
-                for page in 0..2 {
-                    arb.enqueue_weighted(0, tee(1), Ticket::new(t), page, ready(next(50)), weight);
-                }
-                tickets.push((1, t));
+        // Burst: tenant 1 queues 150 two-page tickets on channel 0.
+        for _ in 0..150 {
+            let t = next_ticket;
+            next_ticket += 1;
+            for page in 0..2 {
+                arb.enqueue(0, tee(1), Ticket::new(t), page, ready(next(50)));
             }
-            let live = tickets
-                .iter()
-                .filter(|&&(_, t)| arb.ticket_backlog(0, tee(1), Ticket::new(t)) > 0)
-                .count();
-            max_live = max_live.max(live);
-
-            for _ in 0..6_000 {
-                match next(100) {
-                    // A fresh ticket from a random tenant, pages spread
-                    // over random channels.
-                    0..=21 => {
-                        let owner = 1 + next(4) as u16;
-                        let t = next_ticket;
-                        next_ticket += 1;
-                        let weight = 1 + next(4) as u32;
-                        for page in 0..1 + next(4) as u32 {
-                            let ch = next(CHANNELS as u64) as usize;
-                            arb.enqueue_weighted(
-                                ch,
-                                tee(owner),
-                                Ticket::new(t),
-                                page,
-                                ready(next(50)),
-                                weight,
-                            );
-                        }
-                        tickets.push((owner, t));
-                    }
-                    // Tenant 3 enqueues two tickets out of id order,
-                    // their pages interleaved.
-                    22..=27 => {
-                        let (lo, hi) = (next_ticket, next_ticket + 1);
-                        next_ticket += 2;
-                        let ch = next(CHANNELS as u64) as usize;
-                        let (w_lo, w_hi) = (1 + next(4) as u32, 1 + next(4) as u32);
-                        for page in 0..3 {
-                            for (t, w) in [(hi, w_hi), (lo, w_lo)] {
-                                arb.enqueue_weighted(
-                                    ch,
-                                    tee(3),
-                                    Ticket::new(t),
-                                    page,
-                                    ready(next(50)),
-                                    w,
-                                );
-                            }
-                        }
-                        tickets.push((3, hi));
-                        tickets.push((3, lo));
-                    }
-                    28..=64 => {
-                        let ch = next(CHANNELS as u64) as usize;
-                        if let Some(g) = arb.try_issue(ch) {
-                            fold_grant(&mut hash, &g);
-                            grants += 1;
-                            in_flight[ch] = Some((g.ticket, g.page));
-                        }
-                    }
-                    65..=84 => {
-                        let ch = next(CHANNELS as u64) as usize;
-                        if let Some((t, page)) = in_flight[ch].take() {
-                            assert_eq!(arb.release(t, page), Some(ch));
-                        }
-                    }
-                    85..=92 => {
-                        let (owner, t) = tickets[next(tickets.len() as u64) as usize];
-                        let ch = next(CHANNELS as u64) as usize;
-                        arb.surcharge_lines(ch, tee(owner), Ticket::new(t), next(129));
-                    }
-                    93..=98 => {
-                        let (_, t) = tickets[next(tickets.len() as u64) as usize];
-                        for ch in arb.cancel_ticket(Ticket::new(t)) {
-                            fold(&mut hash, ch as u64);
-                            in_flight[ch] = None;
-                        }
-                    }
-                    _ => arb.forget_tee(tee(1 + next(4) as u16)),
-                }
-            }
-            // Drain whatever is still queued.
-            for (ch, slot) in in_flight.iter_mut().enumerate() {
-                if let Some((t, page)) = slot.take() {
-                    arb.release(t, page);
-                }
-                while let Some(g) = arb.try_issue(ch) {
-                    fold_grant(&mut hash, &g);
-                    grants += 1;
-                    arb.release(g.ticket, g.page);
-                }
-            }
-            assert_eq!(arb.queued_total(), 0);
+            tickets.push((1, t));
         }
+        let max_live = tickets
+            .iter()
+            .filter(|&&(_, t)| arb.ticket_backlog(0, tee(1), Ticket::new(t)) > 0)
+            .count();
+
+        for _ in 0..15_000 {
+            match next(100) {
+                // A fresh ticket from a random tenant, pages spread over
+                // random channels.
+                0..=21 => {
+                    let owner = 1 + next(4) as u16;
+                    let t = next_ticket;
+                    next_ticket += 1;
+                    for page in 0..1 + next(4) as u32 {
+                        let ch = next(CHANNELS as u64) as usize;
+                        arb.enqueue(ch, tee(owner), Ticket::new(t), page, ready(next(50)));
+                    }
+                    tickets.push((owner, t));
+                }
+                // Tenant 3 enqueues two tickets out of id order, their
+                // pages interleaved.
+                22..=27 => {
+                    let (lo, hi) = (next_ticket, next_ticket + 1);
+                    next_ticket += 2;
+                    let ch = next(CHANNELS as u64) as usize;
+                    for page in 0..3 {
+                        for t in [hi, lo] {
+                            arb.enqueue(ch, tee(3), Ticket::new(t), page, ready(next(50)));
+                        }
+                    }
+                    tickets.push((3, hi));
+                    tickets.push((3, lo));
+                }
+                28..=64 => {
+                    let ch = next(CHANNELS as u64) as usize;
+                    if let Some(g) = arb.try_issue(ch) {
+                        fold_grant(&mut hash, &g);
+                        grants += 1;
+                        in_flight[ch] = Some((g.ticket, g.page));
+                    }
+                }
+                65..=84 => {
+                    let ch = next(CHANNELS as u64) as usize;
+                    if let Some((t, page)) = in_flight[ch].take() {
+                        assert_eq!(arb.release(t, page), Some(ch));
+                    }
+                }
+                85..=92 => arb.set_weight(tee(1 + next(4) as u16), 1 + next(4) as u32),
+                93..=98 => {
+                    let (_, t) = tickets[next(tickets.len() as u64) as usize];
+                    for ch in arb.cancel_ticket(Ticket::new(t)) {
+                        fold(&mut hash, ch as u64);
+                        in_flight[ch] = None;
+                    }
+                }
+                _ => arb.forget_tee(tee(1 + next(4) as u16)),
+            }
+        }
+        // Drain whatever is still queued.
+        for (ch, slot) in in_flight.iter_mut().enumerate() {
+            if let Some((t, page)) = slot.take() {
+                arb.release(t, page);
+            }
+            while let Some(g) = arb.try_issue(ch) {
+                fold_grant(&mut hash, &g);
+                grants += 1;
+                arb.release(g.ticket, g.page);
+            }
+        }
+        assert_eq!(arb.queued_total(), 0);
         assert!(max_live > 100, "burst lane held {max_live} sub-lanes");
         assert!(grants > 2_000, "only {grants} grants");
         assert_eq!(
-            hash, 0x612f_dc20_c18b_858c,
+            hash, 0xb622_7381_62b3_efd0,
             "grant sequence changed ({grants} grants)"
         );
     }
