@@ -351,12 +351,6 @@ impl<S> Executor<S> {
         self.tickets.get(ticket.raw()).map(|s| s.kind)
     }
 
-    /// Number of pages `ticket` was opened with, if it is not yet
-    /// drained.
-    pub fn pages_of(&self, ticket: Ticket) -> Option<u32> {
-        self.tickets.get(ticket.raw()).map(|s| s.pages)
-    }
-
     /// Number of `ticket`'s completions already drained through
     /// [`Executor::poll`]/[`Executor::drain_all`], if the ticket is not
     /// yet retired.
