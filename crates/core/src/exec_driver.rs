@@ -486,24 +486,6 @@ impl StageCtx<'_> {
                 let channel = geometry.unpack(out.ppn).channel as usize;
                 self.arbiter.charge(channel, job.tee, 1);
             }
-            // Seal-side attribution feedback: the ticket's accumulated
-            // metadata lines (seal drain + counter epochs) are spread
-            // across the channels its programs landed on. Writes never
-            // queue in the arbiter, so this debits the tenant's clocks
-            // only; a no-op at the default zero line cost.
-            if self.config.fairness.mee_line_cost > 0 {
-                let total = job.attrib.cost_lines();
-                let pages = outcome.pages.len() as u64;
-                for (index, out) in outcome.pages.iter().enumerate() {
-                    let channel = geometry.unpack(out.ppn).channel as usize;
-                    let mut lines = total / pages;
-                    if index == 0 {
-                        lines += total % pages;
-                    }
-                    self.arbiter
-                        .surcharge_lines(channel, job.tee, ev.ticket, lines);
-                }
-            }
         }
 
         // Durable = program done AND seal metadata (counter + MAC)
@@ -710,18 +692,6 @@ impl StageMachine for StageCtx<'_> {
                 job.attrib.add(&delta);
                 job.faults.mac_fallbacks += mac_fallbacks;
                 self.stats.ticket_meta.add(&delta);
-                // Attribution feedback: the fill's measured metadata
-                // traffic surcharges the ticket's (and tenant's)
-                // virtual clocks on the page's channel, so
-                // metadata-heavy tickets yield channel slots to lean
-                // siblings. A no-op at the default zero line cost.
-                if self.config.fairness.policy == SchedPolicy::Wfq
-                    && self.config.fairness.mee_line_cost > 0
-                {
-                    let channel = job.pages[idx].lane;
-                    self.arbiter
-                        .surcharge_lines(channel, job.tee, ev.ticket, delta.cost_lines());
-                }
                 let page = &mut job.pages[idx];
                 page.breakdown.ready = done;
                 page.retired = true;
@@ -860,44 +830,6 @@ impl IceClave {
         class: PageClass,
         now: SimTime,
     ) -> Result<Ticket, IceClaveError> {
-        self.submit_batch_async_inner(tee, lpns, class, 1, now)
-    }
-
-    /// Submits a read batch whose ticket is scheduled at `weight`
-    /// inside its tenant's lane when
-    /// [`TicketPolicy::Wfq`](iceclave_ftl::TicketPolicy) is configured:
-    /// while the tenant's tickets contend for a channel, a weight-2
-    /// ticket is granted twice the pages of a weight-1 sibling. Under
-    /// the default `TicketPolicy::Fifo` the weight is ignored. See
-    /// [`IceClave::submit_batch_async_as`] for the submission
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::submit_batch_async_as`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside
-    /// `1..=`[`iceclave_ftl::MAX_TICKET_WEIGHT`].
-    pub fn submit_batch_async_weighted(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        weight: u32,
-        now: SimTime,
-    ) -> Result<Ticket, IceClaveError> {
-        self.submit_batch_async_inner(tee, lpns, PageClass::ReadOnly, weight, now)
-    }
-
-    fn submit_batch_async_inner(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        class: PageClass,
-        ticket_weight: u32,
-        now: SimTime,
-    ) -> Result<Ticket, IceClaveError> {
         self.ensure_powered()?;
         self.ensure_running(tee)?;
         if lpns.is_empty() {
@@ -920,27 +852,6 @@ impl IceClave {
             Err(e) => return Err(e.into()),
         };
         let geometry = self.platform.ftl.flash().config().geometry;
-
-        // Admission control: a configured per-tenant channel budget
-        // bounds how many pages one TEE may keep queued per channel.
-        // Checked before any ring slot, ticket or queue state changes;
-        // the translation timing above has already been charged.
-        if self.config.fairness.policy == SchedPolicy::Wfq {
-            if let Some(budget) = self.config.fairness.channel_budget {
-                let mut counts = vec![0u32; geometry.channels as usize];
-                for translation in &translations {
-                    counts[geometry.unpack(translation.ppn).channel as usize] += 1;
-                }
-                for (channel, &count) in counts.iter().enumerate() {
-                    if count > 0 && self.arbiter.queued(channel, tee) as u32 + count > budget {
-                        return Err(IceClaveError::ChannelBudgetExceeded {
-                            tee,
-                            channel: channel as u32,
-                        });
-                    }
-                }
-            }
-        }
 
         // Input-ring slots are assigned in request order at submission,
         // so the ring semantics match N sequential reads exactly. The
@@ -1033,14 +944,8 @@ impl IceClave {
                     };
                     chain_ready[channel] = Some(ready);
                     touched[channel] = true;
-                    self.arbiter.enqueue_weighted(
-                        channel,
-                        tee,
-                        ticket,
-                        index as u32,
-                        ready,
-                        ticket_weight,
-                    );
+                    self.arbiter
+                        .enqueue(channel, tee, ticket, index as u32, ready);
                 }
                 for (channel, &touched) in touched.iter().enumerate() {
                     if touched {

@@ -63,6 +63,6 @@ pub use config::{FairnessConfig, IceClaveConfig};
 pub use exec_driver::{Stage, READ_RETRY_LIMIT, READ_RETRY_STEP_US};
 pub use host::{HostLibrary, OffloadResult, OffloadTicket};
 pub use iceclave_exec::{PowerLossInjector, PowerLossPlan};
-pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy, MAX_TICKET_WEIGHT};
+pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy};
 pub use iceclave_types::RecoveryStats;
 pub use runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats, TeeStatus};

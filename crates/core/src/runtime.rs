@@ -88,17 +88,6 @@ pub enum IceClaveError {
         /// The TEE whose protected memory failed verification.
         tee: TeeId,
     },
-    /// The read submission would push the TEE past its configured
-    /// per-tenant channel budget
-    /// ([`crate::FairnessConfig::channel_budget`]): admission control
-    /// rejected the batch instead of deepening the channel queue. The
-    /// TEE stays running; resubmit after draining in-flight tickets.
-    ChannelBudgetExceeded {
-        /// The over-budget TEE.
-        tee: TeeId,
-        /// The flash channel whose queue would exceed the budget.
-        channel: u32,
-    },
     /// Power was cut (see [`IceClave::install_power_loss_plan`]): every
     /// volatile byte on the controller is gone and no API call can make
     /// progress until the device is rebooted through
@@ -131,9 +120,6 @@ impl fmt::Display for IceClaveError {
             }
             IceClaveError::Integrity { tee } => {
                 write!(f, "{tee} failed memory integrity verification")
-            }
-            IceClaveError::ChannelBudgetExceeded { tee, channel } => {
-                write!(f, "{tee} exceeded its queue budget on channel {channel}")
             }
             IceClaveError::PowerLost => {
                 f.write_str("power was cut; reboot the device through recover()")
@@ -364,7 +350,7 @@ impl IceClave {
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is zero.
+    /// Panics if `weight` is outside `1..=`[`iceclave_ftl::MAX_WEIGHT`].
     pub fn set_tee_weight(&mut self, tee: TeeId, weight: u32) -> Result<(), IceClaveError> {
         self.ensure_running(tee)?;
         self.arbiter.set_weight(tee, weight);
@@ -1043,13 +1029,7 @@ impl IceClave {
     fn build_arbiter(config: &IceClaveConfig) -> iceclave_ftl::WfqArbiter {
         let mut arbiter =
             iceclave_ftl::WfqArbiter::new(config.platform.flash.geometry.channels as usize);
-        arbiter.set_default_weight(config.fairness.default_weight);
         arbiter.set_ticket_policy(config.fairness.ticket_policy);
-        arbiter.set_mee_line_cost(config.fairness.mee_line_cost);
-        for &(raw, weight) in &config.fairness.weights {
-            let tee = TeeId::new(raw).expect("fairness weight names a valid TEE id (1..=15)");
-            arbiter.set_weight(tee, weight);
-        }
         arbiter
     }
 
@@ -1097,20 +1077,10 @@ impl IceClave {
         // remaining pages fail immediately, so no stale stage event can
         // ever touch the recycled region or act under the recycled id.
         self.cancel_tickets_of(tee, now);
-        // The arbiter forgets the tenant's lanes so a future TEE
-        // recycling the id starts with a clean virtual clock. Weights
-        // set at runtime die with the TEE; weights named in the config
-        // are reseeded so a recycled id keeps its configured share.
+        // The arbiter forgets the tenant's lanes and weight, so a
+        // future TEE recycling the id starts at weight 1 with a clean
+        // virtual clock.
         self.arbiter.forget_tee(tee);
-        if let Some(&(_, weight)) = self
-            .config
-            .fairness
-            .weights
-            .iter()
-            .find(|&&(raw, _)| raw == u16::from(tee.raw()))
-        {
-            self.arbiter.set_weight(tee, weight);
-        }
         self.platform.ftl.clear_id_bits(&lpns);
         self.free_regions.push(region_page);
         self.free_ids.push(tee);

@@ -60,4 +60,4 @@ pub use iceclave_flash::{
     FaultInjector, FaultPlan, FlashError, JournalRecord, MetadataJournal, ReadFault,
 };
 pub use mapping::{MappingEntry, MappingTable};
-pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter, MAX_TICKET_WEIGHT, MAX_WEIGHT};
+pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter, MAX_WEIGHT};

@@ -30,17 +30,14 @@
 //! level down: the winning *lane* runs its own virtual clock over
 //! per-ticket sub-lanes, so a tenant's deep analytics ticket yields to
 //! that same tenant's four-page point lookup at every page boundary.
-//! Ticket clocks can additionally be *surcharged* with the MEE line
-//! traffic the ticket's pages actually generated
-//! ([`WfqArbiter::surcharge_lines`]), making integrity-metadata
-//! bandwidth a scheduled resource rather than an externality. A fresh
-//! sub-lane enters at the lane clock (prompt first grant for sparse
-//! arrivals), and a *draining* sub-lane surrenders its finish tag to
-//! the lane clock on departure — so a tenant cannot grow its share by
-//! splitting work across many short tickets, and a cycling K-page
-//! ticket's long-run grant share is exactly its weighted share. With
-//! one ticket per lane — or under the legacy [`TicketPolicy::Fifo`] —
-//! the grant sequence is bit-identical to the flat arbiter.
+//! Every ticket runs at weight 1. A fresh sub-lane enters at the lane
+//! clock (prompt first grant for sparse arrivals), and a *draining*
+//! sub-lane surrenders its finish tag to the lane clock on departure —
+//! so a tenant cannot grow its share by splitting work across many
+//! short tickets, and a cycling K-page ticket's long-run grant share
+//! is exactly an equal share. With one ticket per lane — or under the
+//! legacy [`TicketPolicy::Fifo`] — the grant sequence is bit-identical
+//! to the flat arbiter.
 //!
 //! A grant costs O(log T) in the lane's T live tickets, not a scan of
 //! them. Each lane files one *selection entry* per sub-lane in one of
@@ -52,11 +49,10 @@
 //! same winner a strict-`<` scan over the sub-lanes in insertion order
 //! picks. Entries are invalidated lazily: one is *live* while its
 //! sub-lane still exists and its finish tag is unchanged. Every grant
-//! and every surcharge strictly raises the tag and files one new
-//! entry, so each sub-lane has exactly one live entry and stale ones
-//! are dropped when they reach a heap top. Enqueue checks the newest
-//! sub-lane first, so a ticket's pages, which arrive together, find
-//! their sub-lane in O(1).
+//! strictly raises the tag and files one new entry, so each sub-lane
+//! has exactly one live entry and stale ones are dropped when they
+//! reach a heap top. Enqueue checks the newest sub-lane first, so a
+//! ticket's pages, which arrive together, find their sub-lane in O(1).
 //!
 //! # Invariants
 //!
@@ -130,8 +126,7 @@ pub enum TicketPolicy {
     #[default]
     Fifo,
     /// Hierarchical fair queueing: each ticket gets its own virtual
-    /// clock inside the lane, weighted per ticket and optionally
-    /// surcharged by attributed MEE line traffic, so sibling tickets
+    /// clock inside the lane, all at equal weight, so sibling tickets
     /// share the tenant's channel slots page by page.
     Wfq,
 }
@@ -140,21 +135,11 @@ pub enum TicketPolicy {
 /// so integer division by the weight keeps sub-quantum precision.
 const QUANTUM_FP: u64 = 4096 << 16;
 
-/// One MEE cache line (64 bytes, 64 per 4 KiB page) in the same
-/// virtual-time units as [`QUANTUM_FP`] — the unit
-/// [`WfqArbiter::surcharge_lines`] charges in.
-const LINE_FP: u64 = QUANTUM_FP / 64;
-
 /// Largest accepted tenant weight. Bounded so `QUANTUM_FP / weight`
 /// can never truncate to zero — a zero per-grant quantum would stop a
 /// lane's finish tag from advancing and let that tenant monopolize the
 /// channel, silently breaking starvation freedom.
 pub const MAX_WEIGHT: u32 = 1 << 20;
-
-/// Largest accepted per-ticket weight, mirroring [`MAX_WEIGHT`] for
-/// the same reason one level down: the ticket-clock quantum must never
-/// truncate to zero.
-pub const MAX_TICKET_WEIGHT: u32 = MAX_WEIGHT;
 
 /// A page read granted the channel by [`WfqArbiter::try_issue`].
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -182,10 +167,8 @@ struct TicketLane {
     /// Position in the lane's insertion order: the tie-break between
     /// sub-lanes with equal start tags.
     seq: u64,
-    /// Per-ticket weight, fixed at enqueue time.
-    weight: u32,
-    /// Virtual finish tag of the ticket's last grant (or surcharge),
-    /// in the lane's ticket-clock domain.
+    /// Virtual finish tag of the ticket's last grant, in the lane's
+    /// ticket-clock domain.
     finish: u64,
     /// Queued pages as a min-heap over *(effective ready, page)*.
     queue: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -235,8 +218,8 @@ struct Lane {
 impl Lane {
     /// Slot of `ticket`'s sub-lane, if it has one. The newest sub-lane
     /// is checked first, and an id above every id seen cannot match,
-    /// so only an out-of-order enqueue (or a surcharge, or a
-    /// cancellation) scans the slots.
+    /// so only an out-of-order enqueue (or a cancellation) scans the
+    /// slots.
     fn find_ticket(&self, ticket: u64) -> Option<usize> {
         if matches!(self.tickets.get(self.newest), Some(Some(sub)) if sub.ticket == ticket) {
             return Some(self.newest);
@@ -249,19 +232,18 @@ impl Lane {
             .position(|sub| sub.as_ref().is_some_and(|sub| sub.ticket == ticket))
     }
 
-    /// Opens a sub-lane for `ticket` at `weight` and returns its slot.
-    fn open_ticket(&mut self, ticket: u64, weight: u32) -> usize {
+    /// Opens a sub-lane for `ticket` and returns its slot.
+    fn open_ticket(&mut self, ticket: u64) -> usize {
         // New tickets enter at finish 0: their first start tag is
         // max(tvtime, 0) = tvtime, so a fresh ticket starts at the lane
         // clock and is granted promptly. Churn cannot bank credit,
         // because a *departing* ticket surrenders its finish tag to the
         // lane clock (see `grant_ticket`): back-to-back short tickets
         // each start one quantum later, keeping a cycling K-page
-        // ticket's long-run share at exactly its weighted share.
+        // ticket's long-run share at exactly an equal share.
         let sub = TicketLane {
             ticket,
             seq: self.next_seq,
-            weight,
             finish: 0,
             queue: BinaryHeap::new(),
         };
@@ -307,8 +289,8 @@ impl Lane {
 
     /// Whether a selection entry still describes its sub-lane: the
     /// slot holds the same sub-lane (`seq`) with an unchanged finish
-    /// tag. Grants and surcharges strictly raise the tag, so each
-    /// sub-lane has exactly one live entry.
+    /// tag. Grants strictly raise the tag, so each sub-lane has
+    /// exactly one live entry.
     fn is_live(&self, slot: usize, seq: u64, finish: u64) -> bool {
         matches!(self.tickets.get(slot), Some(Some(sub)) if sub.seq == seq && sub.finish == finish)
     }
@@ -348,7 +330,7 @@ impl Lane {
         let sub = self.tickets[slot].as_mut()?;
         let Reverse((ready, page)) = sub.queue.pop()?;
         self.queued -= 1;
-        sub.finish = tstart + QUANTUM_FP / u64::from(sub.weight);
+        sub.finish = tstart + QUANTUM_FP;
         self.tvtime = tstart;
         let (ticket, seq, finish) = (sub.ticket, sub.seq, sub.finish);
         if sub.queue.is_empty() {
@@ -363,20 +345,6 @@ impl Lane {
             self.file(slot, seq, finish);
         }
         Some((ready, ticket, page, tstart))
-    }
-
-    /// Debits `surcharge` (scaled by the ticket weight) to the
-    /// sub-lane in `slot` and files its new selection entry.
-    fn surcharge_ticket(&mut self, slot: usize, surcharge: u64) {
-        let Some(sub) = self.tickets[slot].as_mut() else {
-            return;
-        };
-        // The sub-lane's finish is already >= any start tag it was
-        // granted at, so a plain debit suffices (no vtime clamp — the
-        // ticket is live, not re-entering from idle).
-        sub.finish += surcharge / u64::from(sub.weight);
-        let (seq, finish) = (sub.seq, sub.finish);
-        self.file(slot, seq, finish);
     }
 }
 
@@ -459,20 +427,14 @@ impl ChannelWfq {
 #[derive(Clone, Debug)]
 pub struct WfqArbiter {
     channels: Vec<ChannelWfq>,
-    /// Per-tenant weights indexed by raw TEE id; `None` entries use
-    /// `default_weight`.
-    weights: [Option<u32>; MAX_TENANTS],
-    default_weight: u32,
+    /// Per-tenant weights indexed by raw TEE id.
+    weights: [u32; MAX_TENANTS],
     ticket_policy: TicketPolicy,
-    /// Virtual-time cost of one attributed MEE line, in units of
-    /// [`LINE_FP`]. Zero (the default) disables surcharging entirely.
-    mee_line_cost: u32,
 }
 
 impl WfqArbiter {
     /// An arbiter over `channels` idle channels with every tenant at
-    /// weight 1, ticket policy [`TicketPolicy::Fifo`], and MEE
-    /// surcharging off.
+    /// weight 1 and ticket policy [`TicketPolicy::Fifo`].
     ///
     /// # Panics
     ///
@@ -481,24 +443,9 @@ impl WfqArbiter {
         assert!(channels > 0, "arbiter needs at least one channel");
         WfqArbiter {
             channels: vec![ChannelWfq::default(); channels],
-            weights: [None; MAX_TENANTS],
-            default_weight: 1,
+            weights: [1; MAX_TENANTS],
             ticket_policy: TicketPolicy::Fifo,
-            mee_line_cost: 0,
         }
-    }
-
-    /// Sets the weight every tenant without an explicit weight gets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside `1..=`[`MAX_WEIGHT`].
-    pub fn set_default_weight(&mut self, weight: u32) {
-        assert!(
-            (1..=MAX_WEIGHT).contains(&weight),
-            "weights must be in 1..={MAX_WEIGHT}"
-        );
-        self.default_weight = weight;
     }
 
     /// Sets `tee`'s weight. Applies from the next grant on; already
@@ -512,12 +459,12 @@ impl WfqArbiter {
             (1..=MAX_WEIGHT).contains(&weight),
             "weights must be in 1..={MAX_WEIGHT}"
         );
-        self.weights[usize::from(tee.raw())] = Some(weight);
+        self.weights[usize::from(tee.raw())] = weight;
     }
 
     /// The weight `tee` is currently scheduled at.
     pub fn weight_of(&self, tee: TeeId) -> u32 {
-        self.weights[usize::from(tee.raw())].unwrap_or(self.default_weight)
+        self.weights[usize::from(tee.raw())]
     }
 
     /// Selects how pages are ordered inside one tenant's lane. Must be
@@ -542,28 +489,13 @@ impl WfqArbiter {
         self.ticket_policy
     }
 
-    /// Sets the virtual-time cost of one attributed MEE line, in
-    /// 64-byte line quanta (1/64 of the page quantum). Zero (the
-    /// default) makes
-    /// [`WfqArbiter::surcharge_lines`] a no-op; `cost` = 1 prices a
-    /// metadata line like a line of flash payload.
-    pub fn set_mee_line_cost(&mut self, cost: u32) {
-        self.mee_line_cost = cost;
-    }
-
-    /// The configured per-line MEE surcharge multiplier.
-    pub fn mee_line_cost(&self) -> u32 {
-        self.mee_line_cost
-    }
-
     /// Number of channels under arbitration.
     pub fn channels(&self) -> usize {
         self.channels.len()
     }
 
-    /// Queues `(ticket, page)` of `tee` on `channel` at ticket weight
-    /// 1, eligible from `ready` (the page's chain-effective ready
-    /// time).
+    /// Queues `(ticket, page)` of `tee` on `channel`, eligible from
+    /// `ready` (the page's chain-effective ready time).
     ///
     /// # Panics
     ///
@@ -576,32 +508,6 @@ impl WfqArbiter {
         page: u32,
         ready: SimTime,
     ) {
-        self.enqueue_weighted(channel, tee, ticket, page, ready, 1);
-    }
-
-    /// Queues `(ticket, page)` of `tee` on `channel`, eligible from
-    /// `ready`, with the ticket scheduled at `weight` inside its lane
-    /// under [`TicketPolicy::Wfq`]. Under [`TicketPolicy::Fifo`] the
-    /// weight is ignored (the lane is a single FIFO). All pages of one
-    /// ticket carry the same weight; the last enqueued value wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range or `weight` is outside
-    /// `1..=`[`MAX_TICKET_WEIGHT`].
-    pub fn enqueue_weighted(
-        &mut self,
-        channel: usize,
-        tee: TeeId,
-        ticket: Ticket,
-        page: u32,
-        ready: SimTime,
-        weight: u32,
-    ) {
-        assert!(
-            (1..=MAX_TICKET_WEIGHT).contains(&weight),
-            "ticket weights must be in 1..={MAX_TICKET_WEIGHT}"
-        );
         let lane = self.channels[channel].lane_mut(u16::from(tee.raw()));
         match self.ticket_policy {
             TicketPolicy::Fifo => lane.queue.push(Reverse((ready, ticket.raw(), page))),
@@ -609,10 +515,9 @@ impl WfqArbiter {
                 let raw = ticket.raw();
                 let slot = match lane.find_ticket(raw) {
                     Some(slot) => slot,
-                    None => lane.open_ticket(raw, weight),
+                    None => lane.open_ticket(raw),
                 };
                 let sub = lane.tickets[slot].as_mut().expect("slot holds a sub-lane");
-                sub.weight = weight;
                 sub.queue.push(Reverse((ready, page)));
             }
         }
@@ -620,7 +525,7 @@ impl WfqArbiter {
     }
 
     /// Number of pages `tee` has queued (not yet granted) on
-    /// `channel` — the quantity the per-tenant channel budget bounds.
+    /// `channel`.
     ///
     /// # Panics
     ///
@@ -706,7 +611,6 @@ impl WfqArbiter {
     ///
     /// Panics if `channel` is out of range.
     pub fn try_issue(&mut self, channel: usize) -> Option<IssueGrant> {
-        let default_weight = self.default_weight;
         let ch = &mut self.channels[channel];
         if ch.busy.is_some() {
             return None;
@@ -726,7 +630,7 @@ impl WfqArbiter {
             }
         }
         let (start, tee_raw) = winner?;
-        let weight = self.weights[tee_raw].unwrap_or(default_weight);
+        let weight = self.weights[tee_raw];
         let lane = ch.lanes[tee_raw].as_mut().expect("winning lane exists");
         let (ready, ticket, page, tstart) = match self.ticket_policy {
             TicketPolicy::Fifo => {
@@ -781,37 +685,6 @@ impl WfqArbiter {
         lane.finish = vtime.max(lane.finish) + pages * (QUANTUM_FP / weight);
     }
 
-    /// Charges `lines` attributed MEE cache lines (64 bytes each) of
-    /// metadata traffic to `tee`'s lane on `channel` — and, under
-    /// [`TicketPolicy::Wfq`], to `ticket`'s clock inside that lane —
-    /// scaled by the configured [`WfqArbiter::set_mee_line_cost`]
-    /// multiplier and divided by the respective weights. A no-op when
-    /// the multiplier is zero (the default) or the ticket's sub-lane
-    /// has already drained.
-    ///
-    /// This is the attribution feedback path: the exec driver measures
-    /// each page's fill/seal MEE delta (`MeeSnap`) and surcharges it
-    /// here, so metadata-heavy tickets advance their clocks faster and
-    /// yield more channel slots to their lean siblings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn surcharge_lines(&mut self, channel: usize, tee: TeeId, ticket: Ticket, lines: u64) {
-        if self.mee_line_cost == 0 || lines == 0 {
-            return;
-        }
-        let surcharge = lines * u64::from(self.mee_line_cost) * LINE_FP;
-        let tenant_weight = u64::from(self.weight_of(tee));
-        let ch = &mut self.channels[channel];
-        let vtime = ch.vtime;
-        let lane = ch.lane_mut(u16::from(tee.raw()));
-        lane.finish = vtime.max(lane.finish) + surcharge / tenant_weight;
-        if let Some(slot) = lane.find_ticket(ticket.raw()) {
-            lane.surcharge_ticket(slot, surcharge);
-        }
-    }
-
     /// The virtual tag ordering `tee`'s batch-level (Program) events
     /// against other tenants' same-tick events: the tenant's largest
     /// per-channel finish tag. A tenant that has consumed more channel
@@ -854,17 +727,14 @@ impl WfqArbiter {
     }
 
     /// Forgets `tee`'s lanes entirely (id recycling): queued pages are
-    /// dropped, the finish and ticket-clock tags reset, and any
-    /// runtime-set weight is removed, so the next TEE to reuse the id
-    /// starts fresh at the default weight. Callers with externally
-    /// configured weights (e.g. `iceclave_core`'s `FairnessConfig`)
-    /// reseed them after this call.
+    /// dropped, the finish and ticket-clock tags reset, and the weight
+    /// returns to 1, so the next TEE to reuse the id starts fresh.
     pub fn forget_tee(&mut self, tee: TeeId) {
         let raw = usize::from(tee.raw());
         for ch in &mut self.channels {
             ch.lanes[raw] = None;
         }
-        self.weights[raw] = None;
+        self.weights[raw] = 1;
     }
 }
 
@@ -1104,31 +974,6 @@ mod tests {
         assert_eq!(tickets[8..], [1, 1, 1, 1], "survivor drains alone");
     }
 
-    /// A ticket enqueued at weight 2 gets twice the grants of its
-    /// weight-1 sibling while both stay backlogged.
-    #[test]
-    fn ticket_weight_two_gets_twice_the_grants() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..8 {
-            arb.enqueue_weighted(0, a, Ticket::new(1), page, SimTime::ZERO, 2);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let mut heavy = 0i64;
-        let mut light = 0i64;
-        for &(t, _) in &drain_grants(&mut arb, 0)[..9] {
-            if t == 1 {
-                heavy += 1;
-            } else {
-                light += 1;
-            }
-            assert!(
-                (heavy - 2 * light).abs() <= 2,
-                "ticket share drifted: heavy={heavy} light={light}"
-            );
-        }
-    }
-
     /// With exactly one ticket per tenant, the hierarchical arbiter
     /// reproduces the flat grant sequence bit for bit.
     #[test]
@@ -1180,49 +1025,6 @@ mod tests {
         }
         assert_eq!(flat_grants, hier_grants);
         assert_eq!(flat_grants.len(), 10);
-    }
-
-    /// Surcharged MEE lines defer the heavy ticket: after a 64-line
-    /// (one full page quantum) surcharge, the lean sibling gets the
-    /// next two grants back to back.
-    #[test]
-    fn surcharge_defers_metadata_heavy_ticket() {
-        let mut arb = hier(1);
-        arb.set_mee_line_cost(1);
-        let a = tee(1);
-        for page in 0..4 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let g = arb.try_issue(0).unwrap();
-        assert_eq!(g.ticket.raw(), 1, "ticket 1 leads by id tie-break");
-        // Ticket 1's page generated a full page of metadata traffic:
-        // its clock advances one extra quantum.
-        arb.surcharge_lines(0, a, Ticket::new(1), 64);
-        arb.release(g.ticket, g.page);
-        let order = drain_grants(&mut arb, 0);
-        let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
-        assert_eq!(
-            tickets[..3],
-            [2, 2, 1],
-            "surcharge is worth one extra grant to the sibling"
-        );
-    }
-
-    /// Surcharging with a zero multiplier (the default) never perturbs
-    /// the schedule.
-    #[test]
-    fn zero_line_cost_surcharge_is_a_noop() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..2 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        arb.surcharge_lines(0, a, Ticket::new(1), 1_000_000);
-        let order = drain_grants(&mut arb, 0);
-        let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tickets, vec![1, 2, 1, 2]);
     }
 
     /// Cancelling a ticket under the hierarchical policy purges its
@@ -1289,27 +1091,6 @@ mod tests {
         let g = arb.try_issue(0).unwrap();
         assert_eq!((g.vstart, g.tstart), (0, 0), "fresh lane, fresh clocks");
         arb.release(g.ticket, g.page);
-    }
-
-    #[test]
-    #[should_panic(expected = "ticket weights must be in 1..=")]
-    fn zero_ticket_weight_panics() {
-        let mut arb = hier(1);
-        arb.enqueue_weighted(0, tee(1), Ticket::new(1), 0, SimTime::ZERO, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ticket weights must be in 1..=")]
-    fn over_max_ticket_weight_panics() {
-        let mut arb = hier(1);
-        arb.enqueue_weighted(
-            0,
-            tee(1),
-            Ticket::new(1),
-            0,
-            SimTime::ZERO,
-            MAX_TICKET_WEIGHT + 1,
-        );
     }
 
     #[test]

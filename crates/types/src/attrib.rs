@@ -87,21 +87,6 @@ impl TicketAttribution {
         self.counter_misses + self.mac_misses + self.tree_misses
     }
 
-    /// The delta's metadata DRAM traffic in 64-byte cache-line
-    /// transfers — the attribution → scheduling-cost mapping consumed
-    /// by the hierarchical channel arbiter's MEE surcharge
-    /// (`WfqArbiter::surcharge_lines` in `iceclave_ftl`).
-    ///
-    /// Counts exactly the events that move a metadata line over the
-    /// DRAM bus: bulk fill/seal lines, counter-epoch writes, on-chip
-    /// cache misses (each a line fetch) and L2 misses (each a second
-    /// fetch behind the first level). Hits and cipher pad generations
-    /// are on-chip work — they cost engine time, not bandwidth — so
-    /// they are deliberately excluded.
-    pub fn cost_lines(&self) -> u64 {
-        self.fill_lines + self.seal_lines + self.meta_writes + self.total_misses() + self.l2_misses
-    }
-
     /// True when no metadata traffic was charged at all.
     pub fn is_zero(&self) -> bool {
         *self == TicketAttribution::default()
@@ -145,33 +130,6 @@ mod tests {
         assert_eq!(a.enc_pads, 24);
         assert_eq!(a.total_accesses(), 42);
         assert_eq!(a.total_misses(), 24);
-    }
-
-    /// `cost_lines` counts DRAM line transfers only: bulk lines,
-    /// counter-epoch writes, and misses at both metadata levels — never
-    /// hits or pad generations.
-    #[test]
-    fn cost_lines_counts_dram_traffic_only() {
-        let hits_only = TicketAttribution {
-            counter_hits: 5,
-            mac_hits: 7,
-            tree_hits: 9,
-            l2_hits: 11,
-            enc_pads: 13,
-            ..TicketAttribution::default()
-        };
-        assert_eq!(hits_only.cost_lines(), 0, "on-chip work is free");
-        let traffic = TicketAttribution {
-            fill_lines: 64,
-            seal_lines: 32,
-            meta_writes: 4,
-            counter_misses: 1,
-            mac_misses: 2,
-            tree_misses: 3,
-            l2_misses: 5,
-            ..TicketAttribution::default()
-        };
-        assert_eq!(traffic.cost_lines(), 64 + 32 + 4 + 6 + 5);
     }
 
     #[test]

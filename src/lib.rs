@@ -189,11 +189,11 @@
 //! legacy FIFO scheduler, and an equal-weight duel never leaves 10%
 //! of an even split over any 10k-page window). With a single tenant
 //! the WFQ schedule is byte-identical to the FIFO executor.
-//! Configuration: [`iceclave_core::FairnessConfig`] (policy, weights,
-//! optional per-tenant channel budgets);
-//! `IceClave::set_tee_weight` adjusts weights at runtime; the
-//! `fairness` bench emits the `BENCH_fairness.json` baseline (victim
-//! p99 + Jain's index over the antagonist sweep). See
+//! Configuration: [`iceclave_core::FairnessConfig`] selects the
+//! tenant and ticket policies; every tenant starts at weight 1 and
+//! `IceClave::set_tee_weight` weights a running TEE. The `fairness`
+//! bench emits the `BENCH_fairness.json` baseline (victim p99 +
+//! Jain's index over the antagonist sweep). See
 //! `docs/ARCHITECTURE.md` for the full treatment.
 
 pub use iceclave_cipher;

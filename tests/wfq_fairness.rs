@@ -14,7 +14,7 @@
 //!   tenant's p99 latency improves at least 2x over FIFO, and
 //!   channel-time splits near-evenly once both tenants are backlogged.
 
-use iceclave_repro::iceclave_core::{IceClave, IceClaveError, SchedPolicy};
+use iceclave_repro::iceclave_core::{IceClave, SchedPolicy};
 use iceclave_repro::iceclave_experiments::fairness::{jain, p99, run_duel};
 use iceclave_repro::iceclave_experiments::{Mode, Overrides};
 use iceclave_repro::iceclave_ftl::WfqArbiter;
@@ -211,42 +211,6 @@ fn single_tenant_wfq_is_byte_identical_to_fifo() {
     );
 }
 
-// ---- per-tenant channel budgets ------------------------------------
-
-/// The optional channel budget rejects submissions that would deepen a
-/// tenant's per-channel queue past the cap, without touching the TEE
-/// or the in-flight work.
-#[test]
-fn channel_budget_bounds_queue_depth() {
-    let overrides = Overrides {
-        channels: Some(CHANNELS),
-        ..Overrides::none()
-    };
-    let mut config = Mode::IceClave.ssd_config(&overrides);
-    config.fairness.channel_budget = Some(8);
-    let mut ice = IceClave::new(config);
-    let t0 = ice.populate(Lpn::new(0), 256, SimTime::ZERO).unwrap();
-    let lpns: Vec<Lpn> = (0..256).map(Lpn::new).collect();
-    let (tee, t0) = ice.offload_code(1024, &lpns, t0).unwrap();
-
-    // 64 pages over 8 channels = 8 per channel: exactly at budget.
-    let first = ice.submit_batch_async(tee, &lpns[..64], t0).unwrap();
-    // The next 64 would double every channel's queue: rejected.
-    let err = ice.submit_batch_async(tee, &lpns[64..128], t0).unwrap_err();
-    assert!(
-        matches!(err, IceClaveError::ChannelBudgetExceeded { tee: t, .. } if t == tee),
-        "expected budget rejection, got {err:?}"
-    );
-    // The TEE is still running and the in-flight ticket unaffected.
-    let done = ice.wait_batch(first).unwrap();
-    assert_eq!(done.completions.len(), 64);
-    // With the queues drained, the tenant may submit again.
-    let retry = ice
-        .submit_batch_async(tee, &lpns[64..128], done.finished)
-        .unwrap();
-    assert_eq!(ice.wait_batch(retry).unwrap().completions.len(), 64);
-}
-
 // ---- the antagonist duel (Figures 17/18 scenario) ------------------
 //
 // The closed-loop duel driver is shared with the `fairness` bench
@@ -292,22 +256,13 @@ fn backlogged_equal_weights_split_channel_time_evenly() {
 /// 1 under the same antagonist load.
 #[test]
 fn weights_shift_the_split() {
-    // Weight the victim by pre-seeding the config (TEE ids are LIFO
-    // from 1: the antagonist offloads first and gets id 1, the victim
-    // id 2).
     let run_weighted = |victim_weight: u32| {
-        let overrides = Overrides {
-            channels: Some(CHANNELS),
-            ..Overrides::none()
-        };
-        let mut config = Mode::IceClave.ssd_config(&overrides);
-        config.fairness.weights = vec![(2, victim_weight)];
-        let mut ice = IceClave::new(config);
-        let t0 = ice.populate(Lpn::new(0), 320, SimTime::ZERO).unwrap();
+        let (mut ice, t0) = device(SchedPolicy::Wfq, 320);
         let ant_lpns: Vec<Lpn> = (0..256).map(Lpn::new).collect();
         let victim_lpns: Vec<Lpn> = (256..320).map(Lpn::new).collect();
         let (ant, _) = ice.offload_code(1024, &ant_lpns, t0).unwrap();
         let (victim, t0) = ice.offload_code(1024, &victim_lpns, t0).unwrap();
+        ice.set_tee_weight(victim, victim_weight).unwrap();
         assert_eq!(ice.tee_weight(victim), victim_weight);
         // One deep antagonist ticket and one deep victim ticket, both
         // spanning every channel; compare who finishes first.
@@ -330,4 +285,40 @@ fn weights_shift_the_split() {
         v_at_4 < v_at_1,
         "weight-4 victim ({v_at_4}) should finish its batch earlier than at weight 1 ({v_at_1})"
     );
+}
+
+/// A TEE id recycled after its previous owner was weighted and torn
+/// down starts again at weight 1: on one channel it alternates grants
+/// page by page with an equal-weight rival instead of inheriting the
+/// 3:1 share.
+#[test]
+fn recycled_tee_id_starts_at_weight_one() {
+    let overrides = Overrides {
+        channels: Some(1),
+        ..Overrides::none()
+    };
+    let mut ice = IceClave::new(Mode::IceClave.ssd_config(&overrides));
+    let t = ice.populate(Lpn::new(0), 32, SimTime::ZERO).unwrap();
+    let rival_lpns: Vec<Lpn> = (0..16).map(Lpn::new).collect();
+    let lpns: Vec<Lpn> = (16..32).map(Lpn::new).collect();
+    let (rival, t) = ice.offload_code(1024, &rival_lpns, t).unwrap();
+    let (first, t) = ice.offload_code(1024, &lpns, t).unwrap();
+    ice.set_tee_weight(first, 3).unwrap();
+    assert_eq!(ice.tee_weight(first), 3);
+    let t = ice.terminate_tee(first, t).unwrap();
+    let (recycled, t) = ice.offload_code(1024, &lpns, t).unwrap();
+    assert_eq!(recycled, first, "the id pool recycles the freed id");
+    assert_eq!(ice.tee_weight(recycled), 1, "the weight died with its TEE");
+
+    let rival_ticket = ice.submit_batch_async(rival, &rival_lpns, t).unwrap();
+    ice.submit_batch_async(recycled, &lpns, t).unwrap();
+    let events = ice.drain_completions();
+    assert_eq!(events.len(), 32);
+    let owners: Vec<bool> = events.iter().map(|e| e.ticket == rival_ticket).collect();
+    // The rival's head page is granted before the recycled tenant has
+    // queued anything; from then on the two lanes alternate until the
+    // rival runs dry one page early.
+    for i in 1..30 {
+        assert_ne!(owners[i], owners[i + 1], "grants alternate: {owners:?}");
+    }
 }
