@@ -4,9 +4,8 @@
 //! (split counters, MACs, Merkle tree nodes) plus the DRAM-resident L2
 //! metadata cache. Those tell you what the *device* spent, but not which
 //! tenant caused it — and metadata bandwidth is the dominant MEE cost, so
-//! charging it to the ticket that incurred it is the prerequisite for any
-//! metadata-aware scheduling (hierarchical WFQ) and for trace records
-//! that explain *why* a ticket was slow.
+//! charging it to the ticket that incurred it lets trace records explain
+//! *why* a ticket was slow.
 //!
 //! [`TicketAttribution`] is that charge slip: a snapshot-delta of the
 //! MEE's counters taken around exactly the engine calls one ticket makes.
